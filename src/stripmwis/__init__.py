@@ -13,7 +13,7 @@ from .esd import (ExtendedStripDecomposition, Particle, check_pattern_degree,
                   trivial_esd, validate_esd)
 from .fileio import read_graph, write_graph
 from .generate import generate_random_instance, generate_subdivided_claw
-from .graph import WeightedGraph, induced_subgraph, line_graph
+from .graph import WeightedGraph, line_graph
 from .matching import AuxGraph, matching_bruteforce, max_weight_matching
 from .oracle import OracleBudget, mwis_bruteforce, verify_solution
 from .patterns import (SubdividedClawWitness, contains_biclique_subgraph,

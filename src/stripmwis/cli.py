@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (CapacityError, ContractViolation, InputError,
@@ -77,8 +76,6 @@ def _build_parser():
     s.add_argument("--k", type=int, default=10)
     s.add_argument("--ell-scale", type=float, default=1.0)
     s.add_argument("--leaf-cap", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--trace", default=None, help="write recursion trace to this file")
     s.add_argument("--assert-free", action="store_true",
                    help="fail with exit 3 if an induced subdivided claw exists")
@@ -115,7 +112,6 @@ def _build_parser():
     b.add_argument("--k", type=int, default=10)
     b.add_argument("--ell-scale", type=float, default=1.0)
     b.add_argument("--leaf-cap", type=int, default=None)
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("-o", "--output", default=None, help="CSV output (default stdout)")
     b.set_defaults(func=cmd_bench)
     return p
@@ -134,8 +130,7 @@ def _apply_config_file(args):
 
 
 _PARSER_DEFAULTS = {
-    "algo": "auto", "t": 2, "k": 10, "ell_scale": 1.0, "leaf_cap": None,
-    "seed": 0, "jobs": 1, "trace": None,
+    "algo": "auto", "t": 2, "k": 10, "ell_scale": 1.0, "leaf_cap": None, "trace": None,
 }
 
 
@@ -309,7 +304,6 @@ def _random_base_graph(rng, m):
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     files = sorted(Path(args.directory).glob("*.graph"))
-    rows = []
 
     def run_one(path, algo):
         try:
@@ -322,8 +316,8 @@ def cmd_bench(args) -> int:
             ms = (time.perf_counter() - start) * 1000.0
         except _WitnessFound:
             return [path.name, algo, "witness", "", "", "", ""]
-        except CapacityError:
-            return [path.name, algo, "", "", "", "", "0"]
+        except CapacityError as exc:
+            return [path.name, algo, "", "", "", "", f"capacity: {exc}"]
         depth = trace.max_depth if trace else 0
         calls = trace.call_count if trace else 1
         ok = ""
@@ -331,12 +325,7 @@ def cmd_bench(args) -> int:
             ok = "1" if mwis_bruteforce(G)[0] == value else "0"
         return [path.name, algo, str(value), f"{ms:.1f}", str(depth), str(calls), ok]
 
-    tasks = [(f, a) for f in files for a in algos]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda fa: run_one(*fa), tasks))
-    else:
-        rows = [run_one(f, a) for f, a in tasks]
+    rows = [run_one(f, a) for f in files for a in algos]
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -268,7 +268,7 @@ def restrict_esd(D: ExtendedStripDecomposition, G_sub: WeightedGraph) -> Extende
     return out
 
 
-def check_pattern_degree(G: WeightedGraph, D: ExtendedStripDecomposition, t: int) -> bool:
+def check_pattern_degree(D: ExtendedStripDecomposition, t: int) -> bool:
     """True iff the pattern's maximum degree is at most t - 1 (the bound a
     rigid decomposition of a K_t-free graph must satisfy)."""
     return D.pattern_max_degree() <= t - 1

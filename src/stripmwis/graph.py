@@ -1,8 +1,8 @@
 """Vertex-weighted undirected simple graphs.
 
 Vertices live at dense ids 0..n-1 inside each graph; every vertex also
-carries a stable hashable label.  Labels survive `induced_subgraph`, so
-vertex sets (terminals, separators, decomposition classes) can be
+carries a stable hashable label.  Labels survive `WeightedGraph.subgraph`,
+so vertex sets (terminals, separators, decomposition classes) can be
 intersected across different induced subgraphs of a common root graph.
 All public set-valued arguments and results are label sets; ids and the
 bitmask adjacency are an internal representation for the hot loops.
@@ -171,11 +171,6 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.edge_count()})"
-
-
-def induced_subgraph(G: WeightedGraph, labels) -> WeightedGraph:
-    """G[S]: the subgraph induced by the label set S, weights and labels kept."""
-    return G.subgraph(labels)
 
 
 def line_graph(G: WeightedGraph, edge_weights: Mapping | None = None) -> WeightedGraph:

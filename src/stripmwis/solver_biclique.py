@@ -13,19 +13,17 @@ folds everything into the parent profile over independent subsets of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .border import BorderProfile, brute_force_border, combine_esd
+from .border import BorderProfile, combine_esd
 from .bnb import iter_independent_sets
-from .decompose import DecomposeBudget, decompose, validate_outcome
-from .errors import CapacityError, InputError, InvariantError
-from .esd import check_pattern_degree, occurrence_bound, particles, restrict_esd
+from .decompose import DecomposeBudget
+from .errors import InputError, InvariantError
+from .esd import particles, restrict_esd
 from .graph import WeightedGraph
 from .oracle import OracleBudget
-from .patterns import SubdividedClawWitness
-from .solver_degree import compute_ell
-from .trace import BranchRecord, RecursionTrace, TraceRecord
+from .solver_degree import Recursion, SolveResult, compute_ell, fold, run, unwrap
+from .trace import BranchRecord, TraceRecord
 from .treedec import (BuilderBudget, TreeDecomposition, build_weissauer,
                       high_degree_threshold, tree_sides)
 
@@ -36,10 +34,10 @@ class BicliqueSolverConfig:
     k: int = 10
     ell_scale: object = 1
     # Not part of the published recursion: at desk scale 32*k^5*ell always
-    # exceeds the instance size, so an explicit cap is the only way to make
-    # the solver recurse at all.  Terminal invariants stay at 32*k^5*ell.
+    # exceeds the oracle budget, which then sets the leaf cap; an explicit
+    # cap below it makes the solver recurse on smaller instances.  Terminal
+    # invariants stay at 32*k^5*ell.
     leaf_cap_override: int | None = None
-    trace: bool = False
     with_witnesses: bool = False
     decompose_budget: DecomposeBudget = field(default_factory=DecomposeBudget)
     oracle_budget: OracleBudget = field(default_factory=OracleBudget)
@@ -51,17 +49,6 @@ class BicliqueSolverConfig:
 
 
 @dataclass
-class BicliqueSolveResult:
-    profile: BorderProfile | None = None
-    witness: SubdividedClawWitness | None = None
-    trace: RecursionTrace | None = None
-
-    @property
-    def found_witness(self) -> bool:
-        return self.witness is not None
-
-
-@dataclass
 class BagContext:
     """The chosen sink bag with its component structure."""
 
@@ -70,11 +57,6 @@ class BagContext:
     components: list          # (component labels, neighborhood labels) pairs
     gb_degree: dict           # degree in G^B (bag graph + component cliques)
     q: tuple                  # high-degree vertices, sorted
-
-
-class _Witness(Exception):
-    def __init__(self, witness):
-        self.witness = witness
 
 
 def choose_sink_node(Gp: WeightedGraph, td: TreeDecomposition, U, k: int) -> BagContext:
@@ -151,57 +133,25 @@ def classify_components(Gp: WeightedGraph, GJ: WeightedGraph, ctx: BagContext,
     return dirty, touched, y, z
 
 
-def solve_biclique(G: WeightedGraph, T, cfg: BicliqueSolverConfig | None = None) -> BicliqueSolveResult:
-    cfg = cfg or BicliqueSolverConfig()
-    solver = _BicliqueSolver(G, cfg)
-    try:
-        profile = solver.solve(G, frozenset(T), depth=0)
-    except _Witness as w:
-        return BicliqueSolveResult(witness=w.witness, trace=solver.trace)
-    return BicliqueSolveResult(profile=profile, trace=solver.trace)
+def solve_biclique(G: WeightedGraph, T, cfg: BicliqueSolverConfig | None = None) -> SolveResult:
+    return run(_BicliqueSolver(G, cfg or BicliqueSolverConfig()), G, T)
 
 
 def mwis_biclique(G: WeightedGraph, cfg: BicliqueSolverConfig | None = None):
-    result = solve_biclique(G, frozenset(), cfg)
-    if result.found_witness:
-        return result
-    value = result.profile.table[0]
-    witness = result.profile.witnesses[0] if result.profile.witnesses else None
-    if witness is not None:
-        if not G.is_independent(witness) or G.total_weight(witness) != value:
-            raise InvariantError("solver witness failed re-verification")
-    return value, witness, result.trace
+    return unwrap(G, solve_biclique(G, frozenset(), cfg))
 
 
-class _BicliqueSolver:
+class _BicliqueSolver(Recursion):
     def __init__(self, G: WeightedGraph, cfg: BicliqueSolverConfig):
-        self.cfg = cfg
         self.k = cfg.k
-        self.ell = compute_ell(G.n, cfg.t, cfg.ell_scale)
-        self.terminal_cap = 32 * cfg.k ** 5 * self.ell
-        self.leaf_cap = cfg.leaf_cap_override if cfg.leaf_cap_override is not None \
-            else 32 * cfg.k ** 5 * self.ell
+        super().__init__(G, cfg, 32 * cfg.k ** 5 * compute_ell(G.n, cfg.t, cfg.ell_scale))
         self.u_rule_cap = (3 * self.leaf_cap) // 4
-        self.depth_cap = max(1, 2 * math.ceil(math.log2(max(G.n, 2))))
-        self.trace = RecursionTrace()
 
-    def solve(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
-        if len(T) > self.terminal_cap:
-            raise InvariantError(
-                f"terminal invariant broken: |T|={len(T)} > {self.terminal_cap}")
-        if depth > self.depth_cap:
-            raise InvariantError(f"recursion depth {depth} exceeds {self.depth_cap}")
-
+    def is_leaf(self, Gp: WeightedGraph, T: frozenset) -> bool:
         # A call without (or with a single) nonterminal vertex is a leaf.
-        if Gp.n <= self.leaf_cap or len(Gp.label_set - T) <= 1:
-            self.trace.add(TraceRecord(depth, Gp.n, len(T), "-", 0, 0, True))
-            return brute_force_border(
-                Gp, T,
-                max_vertices=self.cfg.oracle_budget.max_vertices,
-                max_terminals=self.cfg.oracle_budget.max_terminals,
-                node_cap=self.cfg.oracle_budget.max_nodes,
-                with_witnesses=self.cfg.with_witnesses)
+        return Gp.n <= self.leaf_cap or len(Gp.label_set - T) <= 1
 
+    def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
         td = build_weissauer(Gp, self.k, self.cfg.builder_budget)
         if len(T) <= self.u_rule_cap:
             U, ukind = Gp.label_set - T, "V"
@@ -227,7 +177,6 @@ class _BicliqueSolver:
             J = frozenset(qlabels[i] for i in range(len(qlabels)) if (jmask >> i) & 1)
             self._branch(Gp, T, U, ukind, ctx, J, jmask, depth, result, first_branch)
             first_branch = False
-        self._verify_witnesses(Gp, T, result)
         return result
 
     def _branch(self, Gp, T, U, ukind, ctx, J, jmask, depth, result, record_call):
@@ -236,15 +185,10 @@ class _BicliqueSolver:
         GJ = Gp.subgraph(vj)
         UJ = frozenset(U) & vj
 
-        outcome = decompose(GJ, UJ, self.cfg.t, self.cfg.decompose_budget)
-        if outcome.found_witness:
-            raise _Witness(outcome.witness)
-        report = validate_outcome(GJ, UJ, self.cfg.t, outcome)
-        if report:
-            raise InvariantError("decomposition failed validation: " + "; ".join(report))
+        outcome = self.decompose(GJ, UJ)
         X = outcome.removed_set()
         D = outcome.esd
-        self._structure_checks(D)
+        self.check_structure(D, 2 * self.cfg.t)
         if record_call:
             self.trace.add(TraceRecord(depth, Gp.n, len(T), ukind,
                                        len(X), len(particles(D)), False))
@@ -286,109 +230,14 @@ class _BicliqueSolver:
             profs[p] = self.solve(sub, TY & p.members, depth + 1)
         fy = combine_esd(GY, TY, DY, profs, with_witnesses=self.cfg.with_witnesses)
 
-        self._fold(Gp, T, J, ctx, comp_profiles, touched, y, fy, TY, vj, result)
-
-    def _structure_checks(self, D):
-        # Without K_{2t} subgraphs the pattern degree stays below 2t, and
-        # each vertex sits in at most max(4, 2d+1) particles.
-        if not check_pattern_degree(None, D, 2 * self.cfg.t):
-            raise InvariantError(
-                f"pattern degree {D.pattern_max_degree()} exceeds {2 * self.cfg.t - 1}")
-        d = D.pattern_max_degree()
-        occ = occurrence_bound(D)
-        if occ > max(4, 2 * d + 1):
-            raise InvariantError(
-                f"a vertex appears in {occ} particles, cap {max(4, 2 * d + 1)}")
-
-    def _fold(self, Gp, T, J, ctx, comp_profiles, touched, y, fy, TY, vj, result):
-        """Maximize, over independent I_T in (T cap V(G^J)) u T^Y u Y^J,
-        w(J) + w(I_T cap Y^J) + f_Y(I_T cap T^Y)
-        + sum over touched C of (f_C(N[C] cap I_T) - w(I_T cap N(C)))
-        into the cell (I_T u J) cap T."""
-        universe_labels = sorted(Gp.ids_of((T & vj) | TY | y))
-        labels = [Gp.label_of(i) for i in universe_labels]
-        pos = {lab: i for i, lab in enumerate(labels)}
-        conflicts = []
-        for i, vid in enumerate(universe_labels):
-            c = 0
-            for u in Gp.adj[vid]:
-                j = pos.get(Gp.label_of(u))
-                if j is not None:
-                    c |= 1 << j
-            conflicts.append(c)
-
-        wts = [Gp.weights[v] for v in universe_labels]
-        ty_bit = [fy.mask_of([lab]) if lab in TY else None for lab in labels]
-        in_y = [lab in y for lab in labels]
-        t_bit = [result.mask_of([lab]) if lab in T else 0 for lab in labels]
-        jcell = result.mask_of(J & T)
-        wj = Gp.total_weight(J)
-
-        per_c = []
+        # Fold into the parent profile: maximize, over independent I in
+        # (T cap V(G^J)) u T^Y u Y^J, w(J) + w(I cap Y^J) + f_Y(I cap T^Y)
+        # + sum over touched C of (f_C(N[C] cap I) - w(I cap N(C))),
+        # into the cell (I u J) cap T.
+        weight = {v: Gp.weight_of(v) for v in y}
         for idx in touched:
-            c, nc = ctx.components[idx]
-            prof = comp_profiles[idx]
-            closed = (c | nc)
-            cbits = [None] * len(labels)
-            nbits = [False] * len(labels)
-            for i, lab in enumerate(labels):
-                if lab in closed:
-                    cbits[i] = prof.mask_of([lab])
-                nbits[i] = lab in nc
-            per_c.append((prof, cbits, nbits))
-
-        for mask in iter_independent_sets(conflicts):
-            fymask = 0
-            ywt = 0
-            cell = jcell
-            cmasks = [0] * len(per_c)
-            nwt = [0] * len(per_c)
-            m = mask
-            while m:
-                b = m & -m
-                i = b.bit_length() - 1
-                if in_y[i]:
-                    ywt += wts[i]
-                elif ty_bit[i] is not None:
-                    fymask |= ty_bit[i]
-                cell |= t_bit[i]
-                for ci, (prof, cbits, nbits) in enumerate(per_c):
-                    if cbits[i] is not None:
-                        cmasks[ci] |= cbits[i]
-                    if nbits[i]:
-                        nwt[ci] += wts[i]
-                m ^= b
-            base = fy.table[fymask]
-            if base is None:
-                raise InvariantError("independent trace hit a -inf strip cell")
-            value = wj + ywt + base
-            for ci, (prof, _, _) in enumerate(per_c):
-                sub = prof.table[cmasks[ci]]
-                if sub is None:
-                    raise InvariantError("independent trace hit a -inf component cell")
-                value += sub - nwt[ci]
-            wit = None
-            if self.cfg.with_witnesses:
-                wit = set(J)
-                wit |= {labels[i] for i in range(len(labels))
-                        if (mask >> i) & 1 and in_y[i]}
-                wit |= fy.witnesses[fymask]
-                for ci, (prof, _, _) in enumerate(per_c):
-                    cwit = prof.witnesses[cmasks[ci]]
-                    wit |= cwit & ctx.components[touched[ci]][0]
-                wit = frozenset(wit)
-            result.update(cell, value, wit)
-
-    def _verify_witnesses(self, Gp, T, result):
-        if not self.cfg.with_witnesses:
-            return
-        for mask, val in result.cells():
-            if val is None:
-                continue
-            wit = result.witnesses[mask]
-            if wit is None:
-                raise InvariantError("finite cell lacks a witness")
-            if not Gp.is_independent(wit) or Gp.total_weight(wit) != val:
-                raise InvariantError("cell witness failed re-verification")
-            if wit & set(result.terminals) != result.labels_of(mask):
-                raise InvariantError("cell witness disagrees with its trace")
+            for v in ctx.components[idx][1]:
+                weight[v] = weight.get(v, 0) - Gp.weight_of(v)
+        fold(result, Gp, (T & vj) | TY | y, weight, y,
+             [fy] + [comp_profiles[idx] for idx in touched],
+             base=Gp.total_weight(J), base_cell=result.mask_of(J & T), base_witness=J)

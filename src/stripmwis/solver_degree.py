@@ -1,4 +1,5 @@
-"""Recursive border solver for bounded-degree inputs.
+"""Recursive border solver for bounded-degree inputs, and the recursion
+skeleton and interface fold it shares with the biclique solver.
 
 Each call either brute-forces a small induced subgraph or removes the
 closed neighborhood of a short-path family X, recurses on the particles
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .border import BorderProfile, brute_force_border, combine_esd
 from .bnb import iter_independent_sets
 from .decompose import DecomposeBudget, decompose, validate_outcome
-from .errors import CapacityError, InputError, InvariantError
+from .errors import InputError, InvariantError
 from .esd import check_pattern_degree, occurrence_bound, particles
 from .graph import WeightedGraph
 from .oracle import OracleBudget
@@ -46,14 +47,13 @@ class DegreeSolverConfig:
     t: int = 2
     ell_scale: object = 1
     leaf_cap_override: int | None = None
-    trace: bool = False
     with_witnesses: bool = False
     decompose_budget: DecomposeBudget = field(default_factory=DecomposeBudget)
     oracle_budget: OracleBudget = field(default_factory=OracleBudget)
 
 
 @dataclass
-class DegreeSolveResult:
+class SolveResult:
     profile: BorderProfile | None = None
     witness: SubdividedClawWitness | None = None
     trace: RecursionTrace | None = None
@@ -70,21 +70,18 @@ class _Witness(Exception):
         self.witness = witness
 
 
-def solve_degree(G: WeightedGraph, T, cfg: DegreeSolverConfig | None = None) -> DegreeSolveResult:
-    cfg = cfg or DegreeSolverConfig()
-    solver = _DegreeSolver(G, cfg)
+def run(solver, G: WeightedGraph, T) -> SolveResult:
+    """Solve (G, T) from the root; an induced subdivided claw ends the run."""
     try:
         profile = solver.solve(G, frozenset(T), depth=0)
     except _Witness as w:
-        return DegreeSolveResult(witness=w.witness, trace=solver.trace)
-    return DegreeSolveResult(profile=profile, trace=solver.trace)
+        return SolveResult(witness=w.witness, trace=solver.trace)
+    return SolveResult(profile=profile, trace=solver.trace)
 
 
-def mwis(G: WeightedGraph, cfg: DegreeSolverConfig | None = None):
-    """Maximum independent-set weight of G (plus a verified witness when
-    the config asks for witnesses); a witness result means an induced
-    subdivided claw was found instead."""
-    result = solve_degree(G, frozenset(), cfg)
+def unwrap(G: WeightedGraph, result: SolveResult):
+    """(value, witness, trace) of a root solve, or the result itself when
+    it carries a subdivided claw."""
     if result.found_witness:
         return result
     value = result.profile.table[0]
@@ -95,16 +92,29 @@ def mwis(G: WeightedGraph, cfg: DegreeSolverConfig | None = None):
     return value, witness, result.trace
 
 
-class _DegreeSolver:
-    def __init__(self, G: WeightedGraph, cfg: DegreeSolverConfig):
+def solve_degree(G: WeightedGraph, T, cfg: DegreeSolverConfig | None = None) -> SolveResult:
+    return run(_DegreeSolver(G, cfg or DegreeSolverConfig()), G, T)
+
+
+def mwis(G: WeightedGraph, cfg: DegreeSolverConfig | None = None):
+    """Maximum independent-set weight of G (plus a verified witness when
+    the config asks for witnesses); a witness result means an induced
+    subdivided claw was found instead."""
+    return unwrap(G, solve_degree(G, frozenset(), cfg))
+
+
+class Recursion:
+    """The recursion both solvers share: caps, brute-force leaves,
+    checked decompositions and cell-witness re-verification around the
+    solver's own `split` step."""
+
+    def __init__(self, G: WeightedGraph, cfg, terminal_cap: int):
         self.cfg = cfg
-        self.root_n = G.n
-        self.delta = max(1, G.max_degree())
-        self.ell = compute_ell(G.n, cfg.t, cfg.ell_scale)
-        self.terminal_cap = 4 * self.delta ** 2 * self.ell
-        self.u_rule_cap = 3 * self.delta ** 2 * self.ell
-        self.leaf_cap = cfg.leaf_cap_override if cfg.leaf_cap_override is not None \
-            else 4 * self.delta ** 2 * self.ell
+        self.terminal_cap = terminal_cap
+        # The theoretical leaf cap equals the terminal cap; the leaves run
+        # on the brute-force oracle, so they never exceed its budget.
+        leaf_cap = terminal_cap if cfg.leaf_cap_override is None else cfg.leaf_cap_override
+        self.leaf_cap = min(leaf_cap, cfg.oracle_budget.max_vertices)
         self.depth_cap = max(1, 2 * math.ceil(math.log2(max(G.n, 2))))
         self.trace = RecursionTrace()
 
@@ -114,27 +124,132 @@ class _DegreeSolver:
                 f"terminal invariant broken: |T|={len(T)} > {self.terminal_cap}")
         if depth > self.depth_cap:
             raise InvariantError(f"recursion depth {depth} exceeds {self.depth_cap}")
-
-        if Gp.n <= self.leaf_cap:
-            self._record(depth, Gp.n, len(T), "-", 0, 0, leaf=True)
+        if self.is_leaf(Gp, T):
+            self.trace.add(TraceRecord(depth, Gp.n, len(T), "-", 0, 0, True))
+            budget = self.cfg.oracle_budget
             return brute_force_border(
-                Gp, T,
-                max_vertices=self.cfg.oracle_budget.max_vertices,
-                max_terminals=self.cfg.oracle_budget.max_terminals,
-                node_cap=self.cfg.oracle_budget.max_nodes,
-                with_witnesses=self.cfg.with_witnesses)
+                Gp, T, max_vertices=budget.max_vertices, max_terminals=budget.max_terminals,
+                node_cap=budget.max_nodes, with_witnesses=self.cfg.with_witnesses)
+        result = self.split(Gp, T, depth)
+        if self.cfg.with_witnesses:
+            tset = set(result.terminals)
+            for mask, val in result.cells():
+                wit = result.witnesses[mask]
+                if val is not None and (wit is None or not Gp.is_independent(wit)
+                                        or Gp.total_weight(wit) != val
+                                        or wit & tset != result.labels_of(mask)):
+                    raise InvariantError("cell witness failed re-verification")
+        return result
 
+    def is_leaf(self, Gp: WeightedGraph, T: frozenset) -> bool:
+        return Gp.n <= self.leaf_cap
+
+    def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
+        raise NotImplementedError
+
+    def decompose(self, G: WeightedGraph, U):
+        outcome = decompose(G, U, self.cfg.t, self.cfg.decompose_budget)
+        if outcome.found_witness:
+            raise _Witness(outcome.witness)
+        report = validate_outcome(G, U, self.cfg.t, outcome)
+        if report:
+            raise InvariantError("decomposition failed validation: " + "; ".join(report))
+        return outcome
+
+    def check_structure(self, D, clique_bound: int):
+        # A rigid decomposition of a K_q-free graph has pattern degree < q,
+        # and no vertex may appear in more than max(4, 2d+1) particles.
+        if not check_pattern_degree(D, clique_bound):
+            raise InvariantError(
+                f"pattern degree {D.pattern_max_degree()} exceeds {clique_bound - 1}")
+        cap = max(4, 2 * D.pattern_max_degree() + 1)
+        occ = occurrence_bound(D)
+        if occ > cap:
+            raise InvariantError(f"a vertex appears in {occ} particles, cap {cap}")
+
+
+def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts,
+         base=0, base_cell=0, base_witness=frozenset()):
+    """Maximize, over the independent subsets I of `universe`,
+    base + sum of weight[v] over I + sum over parts of prof(I cap terminals(prof))
+    into the cell (I cap T) | base_cell of `result`.
+
+    `weight` maps labels to their weight in the sum (missing labels count
+    zero).  A cell's witness is base_witness, I cap keep, and the parts'
+    witnesses.  Each part's graph must meet `universe` only in the part's
+    terminals; its witnesses meet those exactly in their cell, so they add
+    nothing of the universe outside I."""
+    ids = sorted(Gp.ids_of(universe))
+    labels = [Gp.label_of(v) for v in ids]
+    pos_of = {v: i for i, v in enumerate(ids)}
+    conflicts = []
+    for v in ids:
+        c = 0
+        for u in Gp.adj[v]:
+            j = pos_of.get(u)
+            if j is not None:
+                c |= 1 << j
+        conflicts.append(c)
+    wts = [weight.get(lab, 0) for lab in labels]
+
+    # One packed mask per vertex: its bit in the result cell, then its bit
+    # in each part's cell at that part's offset.
+    tset = set(result.terminals)
+    bits = [result.mask_of([lab]) if lab in tset else 0 for lab in labels]
+    packed_parts = []
+    off = len(result.terminals)
+    for prof in parts:
+        pset = set(prof.terminals)
+        for i, lab in enumerate(labels):
+            if lab in pset:
+                bits[i] |= prof.mask_of([lab]) << off
+        packed_parts.append((prof, off, (1 << len(prof.terminals)) - 1))
+        off += len(prof.terminals)
+    cell_mask = (1 << len(result.terminals)) - 1
+    keep_mask = sum(1 << i for i, lab in enumerate(labels) if lab in keep)
+    with_witnesses = result.witnesses is not None
+
+    for mask in iter_independent_sets(conflicts):
+        value = base
+        packed = base_cell
+        m = mask
+        while m:
+            b = m & -m
+            i = b.bit_length() - 1
+            value += wts[i]
+            packed |= bits[i]
+            m ^= b
+        for prof, off, pmask in packed_parts:
+            sub = prof.table[(packed >> off) & pmask]
+            if sub is None:
+                raise InvariantError("independent trace hit a -inf part cell")
+            value += sub
+        cell = packed & cell_mask
+        wit = None
+        cur = result.table[cell]
+        # Ties keep the first writer, so only an improvement needs a witness.
+        if with_witnesses and (cur is None or value > cur):
+            wit = set(base_witness)
+            wit.update(labels[i] for i in range(len(labels)) if (mask & keep_mask) >> i & 1)
+            for prof, off, pmask in packed_parts:
+                wit |= prof.witnesses[(packed >> off) & pmask]
+            wit = frozenset(wit)
+        result.update(cell, value, wit)
+
+
+class _DegreeSolver(Recursion):
+    def __init__(self, G: WeightedGraph, cfg: DegreeSolverConfig):
+        self.delta = max(1, G.max_degree())
+        ell = compute_ell(G.n, cfg.t, cfg.ell_scale)
+        self.u_rule_cap = 3 * self.delta ** 2 * ell
+        super().__init__(G, cfg, 4 * self.delta ** 2 * ell)
+
+    def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
         if len(T) <= self.u_rule_cap:
             U, ukind = Gp.label_set, "V"
         else:
             U, ukind = T, "T"
-        outcome = decompose(Gp, U, self.cfg.t, self.cfg.decompose_budget)
-        if outcome.found_witness:
-            raise _Witness(outcome.witness)
-        report = validate_outcome(Gp, U, self.cfg.t, outcome)
-        if report:
-            raise InvariantError("decomposition failed validation: " + "; ".join(report))
-
+        outcome = self.decompose(Gp, U)
         X = outcome.removed_set()
         closed = Gp.closed_neighborhood(X)
         frontier = Gp.open_neighborhood(closed)
@@ -146,95 +261,22 @@ class _DegreeSolver:
             raise InvariantError("removed neighborhood touches a nonterminal remainder vertex")
 
         D = outcome.esd
-        self._structure_checks(Gp, Gstar, D)
-
+        self.check_structure(D, Gstar.max_degree() + 2)
         parts = particles(D)
-        self._record(depth, Gp.n, len(T), ukind, len(X), len(parts), leaf=False)
-        profiles = {}
-        for p in parts:
-            sub = Gstar.subgraph(p.members)
-            profiles[p] = self.solve(sub, Tstar & p.members, depth + 1)
-        fstar = combine_esd(Gstar, Tstar, D, profiles,
-                            with_witnesses=self.cfg.with_witnesses)
-        return self._fold(Gp, T, Tstar, closed, fstar)
-
-    def _structure_checks(self, Gp, Gstar, D):
-        # A rigid decomposition of a K_q-free graph has pattern degree < q,
-        # and no vertex may appear in more than max(4, 2d+1) particles.
-        clique_bound = Gstar.max_degree() + 2
-        if not check_pattern_degree(Gstar, D, clique_bound):
-            raise InvariantError(
-                f"pattern degree {D.pattern_max_degree()} exceeds {clique_bound - 1}")
-        d = D.pattern_max_degree()
-        occ = occurrence_bound(D)
-        if occ > max(4, 2 * d + 1):
-            raise InvariantError(f"a vertex appears in {occ} particles, cap {max(4, 2 * d + 1)}")
-        fanout = sum(len(p.members) for p in particles(D))
+        fanout = sum(len(p.members) for p in parts)
         cap = (2 * self.delta + 3) * Gp.n
         if fanout > cap:
             raise InvariantError(f"particle fan-out {fanout} exceeds {cap}")
 
-    def _fold(self, Gp, T, Tstar, closed, fstar: BorderProfile) -> BorderProfile:
-        """Fold the removed closed neighborhood back in: enumerate the
-        independent subsets of T* union N[X] and maximize
-        w(I \\ T*) + f*(I cap T*) into the cell I cap T."""
+        self.trace.add(TraceRecord(depth, Gp.n, len(T), ukind, len(X), len(parts), False))
+        profiles = {p: self.solve(Gstar.subgraph(p.members), Tstar & p.members, depth + 1)
+                    for p in parts}
+        fstar = combine_esd(Gstar, Tstar, D, profiles,
+                            with_witnesses=self.cfg.with_witnesses)
+        # Fold the removed closed neighborhood back in: maximize
+        # w(I \ T*) + f*(I cap T*) into the cell I cap T.
         result = BorderProfile(tuple(Gp.label_of(i) for i in sorted(Gp.ids_of(T))),
                                with_witnesses=self.cfg.with_witnesses)
-        universe = sorted(Gp.ids_of(Tstar | closed))
-        pos_of = {v: i for i, v in enumerate(universe)}
-        conflicts = []
-        for v in universe:
-            c = 0
-            for u in Gp.adj[v]:
-                j = pos_of.get(u)
-                if j is not None:
-                    c |= 1 << j
-            conflicts.append(c)
-        starset = frozenset(Tstar)
-        in_star = [Gp.label_of(v) in starset for v in universe]
-        star_bit = []
-        for v in universe:
-            lab = Gp.label_of(v)
-            star_bit.append(fstar.mask_of([lab]) if lab in starset else 0)
-        t_bit = [result.mask_of([Gp.label_of(v)]) if Gp.label_of(v) in T else 0
-                 for v in universe]
-        wts = [Gp.weights[v] for v in universe]
-
-        for mask in iter_independent_sets(conflicts):
-            smask = 0
-            cell = 0
-            outside_w = 0
-            outside = []
-            m = mask
-            while m:
-                b = m & -m
-                i = b.bit_length() - 1
-                if in_star[i]:
-                    smask |= star_bit[i]
-                else:
-                    outside_w += wts[i]
-                    outside.append(universe[i])
-                cell |= t_bit[i]
-                m ^= b
-            base = fstar.table[smask]
-            if base is None:
-                raise InvariantError("independent trace hit a -inf combined cell")
-            wit = None
-            if self.cfg.with_witnesses:
-                inner = fstar.witnesses[smask]
-                wit = frozenset(inner | {Gp.label_of(v) for v in outside})
-            result.update(cell, base + outside_w, wit)
-        if self.cfg.with_witnesses:
-            tset = set(result.terminals)
-            for mask, val in result.cells():
-                if val is None:
-                    continue
-                wit = result.witnesses[mask]
-                if (wit is None or not Gp.is_independent(wit)
-                        or Gp.total_weight(wit) != val
-                        or wit & tset != result.labels_of(mask)):
-                    raise InvariantError("folded cell witness failed re-verification")
+        fold(result, Gp, Tstar | closed, {v: Gp.weight_of(v) for v in closed}, closed,
+             [fstar])
         return result
-
-    def _record(self, depth, n, tsize, ukind, xsize, pcount, leaf):
-        self.trace.add(TraceRecord(depth, n, tsize, ukind, xsize, pcount, leaf))

@@ -175,3 +175,18 @@ def union_graph(parts) -> WeightedGraph:
             edges.append((remap[part.labels[u]], remap[part.labels[v]]))
         offset += part.n
     return WeightedGraph(labels, weights, edges)
+
+
+def weighted_cycle(rng: random.Random, n: int) -> WeightedGraph:
+    return WeightedGraph(range(n), [rng.randint(1, 100) for _ in range(n)],
+                         [(i, (i + 1) % n) for i in range(n)])
+
+
+def cycle_mwis(weights) -> int:
+    """MWIS of the cycle 0..n-1 by a path DP with vertex 0 left out or taken."""
+    def path(ws):
+        skip, take = 0, 0
+        for w in ws:
+            skip, take = max(skip, take), skip + w
+        return max(skip, take)
+    return max(path(weights[1:]), weights[0] + path(weights[2:-1]))

@@ -258,7 +258,7 @@ def test_criterion_6_structural_invariants(degree_corpus, biclique_corpus):
         D = out.esd
         rest = G.subgraph(G.label_set - G.closed_neighborhood(out.removed_set()))
         assert validate_esd(rest, D, require_rigid=True) == []
-        assert check_pattern_degree(rest, D, rest.max_degree() + 2)
+        assert check_pattern_degree(D, rest.max_degree() + 2)
         d = D.pattern_max_degree()
         assert occurrence_bound(D) <= max(4, 2 * d + 1)
         total = sum(len(p.members) for p in particles(D))

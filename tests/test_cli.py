@@ -1,3 +1,6 @@
+import csv
+import io
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +10,8 @@ import pytest
 from stripmwis.cli import main
 from stripmwis.fileio import read_graph, write_graph
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
+
+from helpers import cycle_mwis, weighted_cycle
 
 
 def run_cli(args, capsys):
@@ -196,3 +201,24 @@ def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "stripmwis.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_solve_default_algo_above_the_oracle_budget(tmp_path, capsys):
+    # auto picks the degree solver above 40 vertices
+    G = weighted_cycle(random.Random(41), 41)
+    path = tmp_path / "c41.graph"
+    path.write_text(write_graph(G))
+    code, out, _ = run_cli(["solve", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"value {cycle_mwis(G.weights)}"
+
+
+def test_bench_reports_capacity_rows(tmp_path, capsys):
+    d = tmp_path / "inst"
+    d.mkdir()
+    (d / "c41.graph").write_text(write_graph(weighted_cycle(random.Random(41), 41)))
+    code, out, _ = run_cli(["bench", str(d), "--algo", "bruteforce"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1] == ["c41.graph", "bruteforce", "", "", "", "",
+                       "capacity: oracle limited to 40 vertices, got 41"]

@@ -130,8 +130,8 @@ def test_restrict_any_induced_subgraph_is_valid():
 
 def test_pattern_degree_and_occurrence_bounds():
     G, D = single_edge_fixture()
-    assert check_pattern_degree(G, D, 3)       # degree 1 <= 2
-    assert not check_pattern_degree(G, D, 1)   # degree 1 > 0
+    assert check_pattern_degree(D, 3)       # degree 1 <= 2
+    assert not check_pattern_degree(D, 1)   # degree 1 > 0
     rng = random.Random(7)
     for _ in range(20):
         G, D = random_esd_instance(rng)

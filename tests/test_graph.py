@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripmwis.errors import InputError
-from stripmwis.graph import WeightedGraph, induced_subgraph, line_graph
+from stripmwis.graph import WeightedGraph, line_graph
 
 from helpers import random_graph
 import random
@@ -27,27 +27,27 @@ def test_construction_rejects_bad_input():
 
 def test_induced_subgraph_restriction():
     G = triangle()
-    S = induced_subgraph(G, {"a", "b"})
+    S = G.subgraph({"a", "b"})
     assert S.n == 2 and S.edge_count() == 1
     assert S.weight_of("a") == 1 and S.weight_of("b") == 2
 
 
 def test_induced_subgraph_identity_and_empty():
     G = triangle()
-    assert induced_subgraph(G, G.label_set).equal_to(G)
-    empty = induced_subgraph(G, set())
+    assert G.subgraph(G.label_set).equal_to(G)
+    empty = G.subgraph(set())
     assert empty.n == 0 and empty.edge_count() == 0
 
 
 def test_induced_subgraph_unknown_vertex():
     with pytest.raises(InputError):
-        induced_subgraph(triangle(), {"a", "zz"})
+        triangle().subgraph({"a", "zz"})
 
 
 def test_labels_stable_across_nesting():
     G = WeightedGraph(range(6), [1] * 6, [(i, i + 1) for i in range(5)])
-    S1 = induced_subgraph(G, {1, 2, 3, 4})
-    S2 = induced_subgraph(S1, {2, 3})
+    S1 = G.subgraph({1, 2, 3, 4})
+    S2 = S1.subgraph({2, 3})
     assert S2.label_set == {2, 3}
     assert S2.has_edge_labels(2, 3)
 

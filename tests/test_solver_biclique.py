@@ -13,7 +13,8 @@ from stripmwis.solver_biclique import (BicliqueSolverConfig, choose_sink_node,
 from stripmwis.trace import BranchRecord
 from stripmwis.treedec import TreeDecomposition, build_weissauer
 
-from helpers import hub_caterpillar, union_graph, windmill_caterpillar
+from helpers import (cycle_mwis, hub_caterpillar, union_graph, weighted_cycle,
+                     windmill_caterpillar)
 
 
 def test_config_requires_k_at_least_two():
@@ -156,3 +157,12 @@ def test_deterministic_output():
     assert len({r[0] for r in runs}) == 1
     assert len({r[1] for r in runs}) == 1
     assert len({tuple(r[2].lines()) for r in runs}) == 1
+
+
+@pytest.mark.parametrize("n", [41, 60, 90])
+def test_default_leaf_cap_fits_the_oracle_budget(n):
+    # 32 * k^5 * ell is far above the 40-vertex oracle budget
+    G = weighted_cycle(random.Random(n), n)
+    value, _, trace = mwis_biclique(G, BicliqueSolverConfig(k=3))
+    assert value == cycle_mwis(G.weights)
+    assert trace.call_count > 1

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from stripmwis.border import brute_force_border
+from stripmwis.border import BorderProfile, brute_force_border
 from stripmwis.errors import CapacityError, InvariantError
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, max_weight_matching
 from stripmwis.oracle import mwis_bruteforce
-from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, mwis,
+from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis,
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import random_graph, union_graph
+from helpers import cycle_mwis, random_graph, union_graph, weighted_cycle
 
 
 def test_compute_ell_examples():
@@ -85,7 +85,7 @@ def test_witness_path_on_claw_containing_graph():
 
 def test_trace_line_format():
     G = generate_random_instance(30, 3, 2, 6)
-    cfg = DegreeSolverConfig(t=2, leaf_cap_override=12, trace=True)
+    cfg = DegreeSolverConfig(t=2, leaf_cap_override=12)
     _, _, trace = mwis(G, cfg)
     lines = trace.dump().splitlines()
     assert lines and all(l.startswith(("call ", "branch ")) for l in lines)
@@ -146,3 +146,102 @@ def test_deterministic_output():
     assert len({r[0] for r in runs}) == 1
     assert len({r[1] for r in runs}) == 1
     assert len({tuple(r[2].lines()) for r in runs}) == 1
+
+
+@pytest.mark.parametrize("n", [41, 60, 90])
+def test_default_leaf_cap_fits_the_oracle_budget(n):
+    # the theoretical leaf cap 4 * Delta^2 * ell is far above the
+    # 40-vertex oracle budget; the default config must still recurse
+    G = weighted_cycle(random.Random(n), n)
+    value, _, trace = mwis(G)
+    assert value == cycle_mwis(G.weights)
+    assert trace.call_count > 1
+
+
+def test_default_config_on_a_line_graph_matches_matching():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    edges = set()
+    while len(edges) < 50:
+        u, v = rng.sample(range(42), 2)
+        edges.add((min(u, v), max(u, v)))
+    root = WeightedGraph(range(42), [1] * 42, sorted(edges))
+    ew = {frozenset(e): rng.randint(1, 20) for e in edges}
+    L = line_graph(root, ew)
+    assert L.n > 40
+    value, _, trace = mwis(L)
+    R = nx.Graph()
+    R.add_weighted_edges_from((u, v, ew[frozenset((u, v))]) for u, v in edges)
+    assert value == sum(R[u][v]["weight"] for u, v in nx.max_weight_matching(R))
+    assert trace.call_count > 1
+
+
+def _check_cell_witnesses(G, prof):
+    tset = set(prof.terminals)
+    for mask, val in prof.cells():
+        if val is None:
+            continue
+        wit = prof.witnesses[mask]
+        assert G.is_independent(wit) and G.total_weight(wit) == val
+        assert wit & tset == prof.labels_of(mask)
+
+
+def _ordered(G, labels):
+    return tuple(G.label_of(i) for i in sorted(G.ids_of(labels)))
+
+
+def test_fold_degree_shape_matches_exhaustive():
+    # remove N[X]; the one part is the exhaustive profile of the rest on T*
+    rng = random.Random(8)
+    for _ in range(12):
+        G = random_graph(rng, 13, 0.3)
+        T = frozenset(rng.sample(list(G.labels), 4))
+        closed = G.closed_neighborhood(rng.sample(list(G.labels), 2))
+        rest = G.label_set - closed
+        Tstar = (T & rest) | G.open_neighborhood(closed)
+        fstar = brute_force_border(G.subgraph(rest), Tstar, with_witnesses=True)
+        result = BorderProfile(_ordered(G, T), with_witnesses=True)
+        fold(result, G, Tstar | closed, {v: G.weight_of(v) for v in closed}, closed,
+             [fstar])
+        assert result.same_table(brute_force_border(G, T))
+        _check_cell_witnesses(G, result)
+
+
+def test_fold_biclique_shape_matches_exhaustive():
+    # a base set J with N(J) removed; the rest splits at S = N(C) into a
+    # component part on C u S, a kept set Y and a part on the remainder
+    # R u S; S is in two parts, so its weight is taken off once
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(20):
+        G = random_graph(rng, 15, 0.25)
+        T = frozenset(rng.sample(list(G.labels), 5))
+        J = frozenset(rng.sample(list(G.labels), 1))
+        vj = G.label_set - J - G.open_neighborhood(J)
+        C = frozenset(rng.sample(sorted(vj), min(3, len(vj))))
+        S = (G.open_neighborhood(C) & vj) - C
+        R = vj - C - S
+        Y = frozenset(rng.sample(sorted(R), min(2, len(R))))
+        R -= Y
+        TR = (T & R) | S | (G.open_neighborhood(Y) & R)
+        fr = brute_force_border(G.subgraph(R | S), TR, with_witnesses=True)
+        fc = brute_force_border(G.subgraph(C | S), (T & C) | S, with_witnesses=True)
+        weight = {v: G.weight_of(v) for v in Y} | {v: -G.weight_of(v) for v in S}
+        result = BorderProfile(_ordered(G, T), with_witnesses=True)
+        fold(result, G, (T & vj) | TR | Y, weight, Y, [fr, fc],
+             base=G.total_weight(J), base_cell=result.mask_of(J & T), base_witness=J)
+
+        # the best independent set containing J, cell by cell
+        rest = brute_force_border(G.subgraph(vj), T & vj)
+        for mask, val in result.cells():
+            cell = result.labels_of(mask)
+            want = None
+            if cell & J == J & T and cell - J <= vj:
+                want = rest.value(cell - J)
+                want = None if want is None else want + G.total_weight(J)
+            assert val == want
+            if val is not None:
+                assert J <= result.witnesses[mask]
+        _check_cell_witnesses(G, result)
+        checked += bool(S) and bool(Y)
+    assert checked >= 5
