@@ -40,12 +40,16 @@ MAX_K_RETRIES = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # The file sets the subcommand's defaults; parsing again lets
+            # explicit flags win.
+            _apply_config_file(commands[args.command], args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    _apply_config_file(args)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -114,28 +118,41 @@ def _build_parser():
     b.add_argument("--leaf-cap", type=int, default=None)
     b.add_argument("-o", "--output", default=None, help="CSV output (default stdout)")
     b.set_defaults(func=cmd_bench)
-    return p
+    return p, sub.choices
 
 
-def _apply_config_file(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        defaults = json.load(fh)
-    for key, val in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and _is_parser_default(args, attr):
-            setattr(args, attr, val)
-
-
-_PARSER_DEFAULTS = {
-    "algo": "auto", "t": 2, "k": 10, "ell_scale": 1.0, "leaf_cap": None, "trace": None,
-}
-
-
-def _is_parser_default(args, attr):
-    return attr in _PARSER_DEFAULTS and getattr(args, attr) == _PARSER_DEFAULTS[attr]
+def _apply_config_file(parser, path):
+    """Set the defaults of one subcommand's parser from a JSON object whose
+    keys name its options (`leaf-cap` or `leaf_cap`); any problem with the
+    file ends the run with exit 2."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            parser.error(f"config key {key!r} names no option of {parser.prog}")
+        if action.nargs == 0:  # a switch such as --witness
+            ok = isinstance(value, bool)
+        elif value is None:
+            ok = action.default is None
+        else:
+            # Kept as the text of a flag value, which argparse converts
+            # when it parses again.
+            ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+            value = str(value)
+            ok = ok and (action.choices is None or value in action.choices)
+        if not ok:
+            parser.error(f"config key {key!r} has invalid value {config[key]!r}")
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
 
 
 def _load_graph(path) -> WeightedGraph:

@@ -56,8 +56,18 @@ class ExtendedStripDecomposition:
         for e in self.pattern_edges:
             full, end_a, end_b = edge_sets.get(e, ((), (), ()))
             self.edge_sets[e] = (frozenset(full), frozenset(end_a), frozenset(end_b))
+        # The decomposition is never changed after construction, so the
+        # pattern's adjacency and triangles are computed once here.
+        nbrs = {x: [] for x in self.pattern_vertices}
+        for x, y in self.pattern_edges:
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+        self._neighbors = {x: tuple(sorted(ys)) for x, ys in nbrs.items()}
+        es = set(self.pattern_edges)
+        self._triangles = tuple((x, y, z) for x, y in self.pattern_edges
+                                for z in self._neighbors[x] if z > y and (y, z) in es)
         self.triangle_sets = {}
-        tri = set(self.triangles())
+        tri = set(self._triangles)
         for key, val in (triangle_sets or {}).items():
             k = tuple(sorted(key))
             if k not in tri:
@@ -66,8 +76,8 @@ class ExtendedStripDecomposition:
 
     # -- pattern queries ------------------------------------------------------
 
-    def pattern_neighbors(self, x):
-        return sorted(y for e in self.pattern_edges for y in e if x in e and y != x)
+    def pattern_neighbors(self, x) -> tuple:
+        return self._neighbors[x]
 
     def pattern_degree(self, x) -> int:
         return len(self.pattern_neighbors(x))
@@ -75,15 +85,9 @@ class ExtendedStripDecomposition:
     def pattern_max_degree(self) -> int:
         return max((self.pattern_degree(x) for x in self.pattern_vertices), default=0)
 
-    def triangles(self):
-        """Sorted triangle triples of the pattern, computed on demand."""
-        es = set(self.pattern_edges)
-        out = []
-        for x, y in self.pattern_edges:
-            for z in self.pattern_vertices:
-                if z > y and (x, z) in es and (y, z) in es:
-                    out.append((x, y, z))
-        return out
+    def triangles(self) -> tuple:
+        """Sorted triangle triples of the pattern."""
+        return self._triangles
 
     # -- eta accessors ---------------------------------------------------------
 
@@ -109,12 +113,6 @@ class ExtendedStripDecomposition:
             yield ("e", e, self.edge_sets[e][0])
         for tr in self.triangles():
             yield ("t", tr, self.eta_triangle(tr))
-
-    def covered_vertices(self) -> frozenset:
-        out = set()
-        for _, _, mem in self.all_classes():
-            out |= mem
-        return frozenset(out)
 
     def particle_vertex(self, x) -> Particle:
         return Particle(VERTEX, (x,), self.vertex_sets[x])

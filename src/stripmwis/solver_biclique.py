@@ -7,8 +7,10 @@ the independent subsets J of the bag's few high-degree vertices Q, and
 for each branch removes Q and N(J), decomposes the remainder around a
 short-path family, recurses separately on the components touched by the
 removal and on the particles of the restricted strip decomposition, and
-folds everything into the parent profile over independent subsets of
-(T cap V(G^J)) union T^Y union Y^J.
+folds everything into the parent profile.  The fold enumerates the
+independent subsets of the terminals among (T cap V(G^J)) union T^Y union
+Y^J, those of the parent and of the parts; the rest of Y^J is a memoized
+maximum-weight independent set per subset.
 """
 
 from __future__ import annotations

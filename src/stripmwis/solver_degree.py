@@ -5,7 +5,10 @@ Each call either brute-forces a small induced subgraph or removes the
 closed neighborhood of a short-path family X, recurses on the particles
 of the balanced strip decomposition of the remainder, combines the
 particle profiles through the matching step, and folds the removed part
-back in by enumerating independent subsets of T* union N[X].
+back in.  The fold enumerates the independent subsets of the terminals
+T* union (T cap N[X]) only; the rest of N[X] adds weight and nothing else,
+so for each subset it is a maximum-weight independent set, memoized on
+what the subset leaves alive.
 
 The alternation between balancing on all vertices and balancing on the
 terminal set keeps the terminal count below 4 * Delta^2 * ell at every
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .border import BorderProfile, brute_force_border, combine_esd
-from .bnb import iter_independent_sets
+from .bnb import iter_independent_sets, max_weight_set
 from .decompose import DecomposeBudget, decompose, validate_outcome
 from .errors import InputError, InvariantError
 from .esd import check_pattern_degree, occurrence_bound, particles
@@ -178,23 +181,48 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
     zero).  A cell's witness is base_witness, I cap keep, and the parts'
     witnesses.  Each part's graph must meet `universe` only in the part's
     terminals; its witnesses meet those exactly in their cell, so they add
-    nothing of the universe outside I."""
-    ids = sorted(Gp.ids_of(universe))
-    labels = [Gp.label_of(v) for v in ids]
-    pos_of = {v: i for i, v in enumerate(ids)}
-    conflicts = []
-    for v in ids:
-        c = 0
-        for u in Gp.adj[v]:
-            j = pos_of.get(u)
-            if j is not None:
-                c |= 1 << j
-        conflicts.append(c)
+    nothing of the universe outside I.
+
+    Only the bound vertices of `universe`, the terminals of `result` and
+    of the parts, are enumerated.  Every other vertex is free: it changes
+    no cell and only adds its weight, so each independent bound subset
+    takes the heaviest independent set of free vertices not adjacent to
+    it, a branch-and-bound MWIS memoized on the free vertices left alive.
+    Free vertices of weight <= 0 never help and are left out."""
+    tset = set(result.terminals)
+    bound_labels = tset.union(*(prof.terminals for prof in parts))
+    bound, free = [], []
+    for v in sorted(Gp.ids_of(universe)):
+        lab = Gp.label_of(v)
+        if lab in bound_labels:
+            bound.append(v)
+        elif weight.get(lab, 0) > 0:
+            free.append(v)
+    labels = [Gp.label_of(v) for v in bound]
+    free_labels = [Gp.label_of(v) for v in free]
+    bound_pos = {v: i for i, v in enumerate(bound)}
+    free_pos = {v: j for j, v in enumerate(free)}
+
+    def neighbor_masks(ids, pos_of):
+        # As bits over pos_of's positions, the neighbors of each vertex in ids.
+        out = []
+        for v in ids:
+            c = 0
+            for u in Gp.adj[v]:
+                j = pos_of.get(u)
+                if j is not None:
+                    c |= 1 << j
+            out.append(c)
+        return out
+
+    conflicts = neighbor_masks(bound, bound_pos)
+    free_conflicts = neighbor_masks(bound, free_pos)
+    free_adj = neighbor_masks(free, free_pos)
     wts = [weight.get(lab, 0) for lab in labels]
+    free_wts = [weight[lab] for lab in free_labels]
 
     # One packed mask per vertex: its bit in the result cell, then its bit
     # in each part's cell at that part's offset.
-    tset = set(result.terminals)
     bits = [result.mask_of([lab]) if lab in tset else 0 for lab in labels]
     packed_parts = []
     off = len(result.terminals)
@@ -207,18 +235,28 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
         off += len(prof.terminals)
     cell_mask = (1 << len(result.terminals)) - 1
     keep_mask = sum(1 << i for i, lab in enumerate(labels) if lab in keep)
+    free_keep_mask = sum(1 << j for j, lab in enumerate(free_labels) if lab in keep)
+    all_free = (1 << len(free)) - 1
+    best_free = {}
     with_witnesses = result.witnesses is not None
 
     for mask in iter_independent_sets(conflicts):
         value = base
         packed = base_cell
+        blocked = 0
         m = mask
         while m:
             b = m & -m
             i = b.bit_length() - 1
             value += wts[i]
             packed |= bits[i]
+            blocked |= free_conflicts[i]
             m ^= b
+        alive = all_free & ~blocked
+        extension = best_free.get(alive)
+        if extension is None:
+            extension = best_free[alive] = max_weight_set(free_adj, free_wts, alive)
+        value += extension[0]
         for prof, off, pmask in packed_parts:
             sub = prof.table[(packed >> off) & pmask]
             if sub is None:
@@ -230,11 +268,16 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
         # Ties keep the first writer, so only an improvement needs a witness.
         if with_witnesses and (cur is None or value > cur):
             wit = set(base_witness)
-            wit.update(labels[i] for i in range(len(labels)) if (mask & keep_mask) >> i & 1)
+            wit.update(_labels_of(mask & keep_mask, labels))
+            wit.update(_labels_of(extension[1] & free_keep_mask, free_labels))
             for prof, off, pmask in packed_parts:
                 wit |= prof.witnesses[(packed >> off) & pmask]
             wit = frozenset(wit)
         result.update(cell, value, wit)
+
+
+def _labels_of(mask: int, labels):
+    return (labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class _DegreeSolver(Recursion):

@@ -197,6 +197,46 @@ def test_config_file_defaults_with_flag_override(instance_file, tmp_path, capsys
     assert out.splitlines()[0] == brute.splitlines()[0]
 
 
+def test_config_file_sets_any_option_of_the_subcommand(tmp_path, capsys):
+    # gen's --seed is not shared with solve or bench
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 5}')
+    code, out, _ = run_cli(["--config", str(cfg), "gen", "--family", "random", "--n", "6"],
+                           capsys)
+    assert code == 0
+    _, want, _ = run_cli(["gen", "--family", "random", "--n", "6", "--seed", "5"], capsys)
+    _, other, _ = run_cli(["gen", "--family", "random", "--n", "6"], capsys)
+    assert out == want != other
+
+
+def test_config_file_sets_the_bench_algorithms(tmp_path, capsys):
+    d = tmp_path / "inst"
+    d.mkdir()
+    (d / "g.graph").write_text(write_graph(generate_random_instance(14, 3, 2, 2)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"algo": "degree", "leaf_cap": 8}')
+    code, out, _ = run_cli(["--config", str(cfg), "bench", str(d)], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[1] for r in rows[1:]] == ["degree"] and rows[1][-1] == "1"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 5}', "names no option"),       # a gen option, not one of solve
+    ('{"algo": "fastest"}', "invalid value"),
+    ('{"witness": "yes"}', "invalid value"),
+    ("{'algo': 'degree'}", "cannot read config file"),
+    (None, "cannot read config file"),
+])
+def test_config_file_errors_exit_2(instance_file, tmp_path, capsys, text, message):
+    path, _ = instance_file
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "solve", str(path)], capsys)
+    assert code == 2 and out == "" and message in err
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "stripmwis.cli", "--help"],
                           capture_output=True, text=True)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from stripmwis.generate import generate_random_instance, generate_subdivided_cla
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, max_weight_matching
 from stripmwis.oracle import mwis_bruteforce
+import stripmwis.solver_degree as solver_degree
 from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis,
                                      solve_degree)
 from stripmwis.trace import TraceRecord
@@ -160,20 +162,21 @@ def test_default_leaf_cap_fits_the_oracle_budget(n):
 
 def test_default_config_on_a_line_graph_matches_matching():
     nx = pytest.importorskip("networkx")
-    rng = random.Random(4)
-    edges = set()
-    while len(edges) < 50:
-        u, v = rng.sample(range(42), 2)
-        edges.add((min(u, v), max(u, v)))
-    root = WeightedGraph(range(42), [1] * 42, sorted(edges))
-    ew = {frozenset(e): rng.randint(1, 20) for e in edges}
-    L = line_graph(root, ew)
-    assert L.n > 40
-    value, _, trace = mwis(L)
-    R = nx.Graph()
-    R.add_weighted_edges_from((u, v, ew[frozenset((u, v))]) for u, v in edges)
-    assert value == sum(R[u][v]["weight"] for u, v in nx.max_weight_matching(R))
-    assert trace.call_count > 1
+    for seed in (3, 4):
+        rng = random.Random(seed)
+        edges = set()
+        while len(edges) < 50:
+            u, v = rng.sample(range(42), 2)
+            edges.add((min(u, v), max(u, v)))
+        root = WeightedGraph(range(42), [1] * 42, sorted(edges))
+        ew = {frozenset(e): rng.randint(1, 20) for e in edges}
+        L = line_graph(root, ew)
+        assert L.n > 40
+        value, _, trace = mwis(L)
+        R = nx.Graph()
+        R.add_weighted_edges_from((u, v, ew[frozenset((u, v))]) for u, v in edges)
+        assert value == sum(R[u][v]["weight"] for u, v in nx.max_weight_matching(R))
+        assert trace.call_count > 1
 
 
 def _check_cell_witnesses(G, prof):
@@ -245,3 +248,87 @@ def test_fold_biclique_shape_matches_exhaustive():
         _check_cell_witnesses(G, result)
         checked += bool(S) and bool(Y)
     assert checked >= 5
+
+
+def _reference_fold(G, universe, weight, T, parts):
+    """The fold by enumeration of every independent subset of `universe`:
+    the best value of each cell, keyed by its label set."""
+    best = {}
+    for r in range(len(universe) + 1):
+        for I in map(frozenset, combinations(sorted(universe), r)):
+            if not G.is_independent(I):
+                continue
+            value = sum(weight.get(v, 0) for v in I)
+            value += sum(prof.value(I & set(prof.terminals)) for prof in parts)
+            if I & T not in best or value > best[I & T]:
+                best[I & T] = value
+    return best
+
+
+def _fold_case(rng, signed):
+    # Two disjoint parts P1, P2 whose terminals hold every vertex with a
+    # neighbor outside the part, so each part's graph meets the universe
+    # only in its terminals; the rest of the universe is bound (in T) or free.
+    G = random_graph(rng, 13, 0.3)
+    P1 = frozenset(rng.sample(range(13), 4))
+    P2 = frozenset(rng.sample(sorted(G.label_set - P1), 3))
+    parts, part_terminals = [], set()
+    for P in (P1, P2):
+        TP = (P & G.open_neighborhood(G.label_set - P)) | {rng.choice(sorted(P))}
+        parts.append(brute_force_border(G.subgraph(P), TP, with_witnesses=True))
+        part_terminals |= TP
+    universe = (G.label_set - P1 - P2) | part_terminals
+    T = frozenset(rng.sample(sorted(universe), 3))
+    rest = universe - part_terminals
+    if signed:
+        weight = {v: rng.randint(-6, 10) for v in rest}
+        keep = frozenset(v for v in rest if v in T or rng.random() < 0.7)
+    else:
+        weight = {v: G.weight_of(v) for v in rest}
+        keep = rest
+    return G, universe, weight, keep, T, parts, part_terminals | T
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_fold_matches_full_enumeration(signed):
+    # signed weights and a partial keep exercise the free-vertex filter;
+    # with graph weights every cell witness must weigh its value
+    rng = random.Random(10 + signed)
+    for _ in range(15):
+        G, universe, weight, keep, T, parts, _ = _fold_case(rng, signed)
+        result = BorderProfile(_ordered(G, T), with_witnesses=True)
+        fold(result, G, universe, weight, keep, parts)
+        want = _reference_fold(G, universe, weight, T, parts)
+        assert [want.get(result.labels_of(m)) for m in range(len(result.table))] \
+            == result.table
+        if not signed:
+            _check_cell_witnesses(G, result)
+            continue
+        dropped = universe - keep - set().union(*(p.terminals for p in parts))
+        for mask, val in result.cells():
+            wit = result.witnesses[mask]
+            if val is not None:
+                assert G.is_independent(wit) and wit & T == result.labels_of(mask)
+                assert not wit & dropped
+
+
+def test_fold_enumerates_only_bound_subsets(monkeypatch):
+    # the subsets yielded to the fold are the independent subsets of the
+    # terminals of the result and the parts, not of the whole universe
+    yielded = []
+    iter_sets = solver_degree.iter_independent_sets
+
+    def counting(conflicts):
+        for mask in iter_sets(conflicts):
+            yielded.append(mask)
+            yield mask
+
+    monkeypatch.setattr(solver_degree, "iter_independent_sets", counting)
+    rng = random.Random(12)
+    for _ in range(10):
+        G, universe, weight, keep, T, parts, bound = _fold_case(rng, False)
+        yielded.clear()
+        fold(BorderProfile(_ordered(G, T)), G, universe, weight, keep, parts)
+        want = sum(G.is_independent(I) for r in range(len(bound) + 1)
+                   for I in combinations(sorted(bound), r))
+        assert len(yielded) == want
