@@ -23,6 +23,6 @@ from .solver_biclique import (BicliqueSolverConfig, mwis_biclique,
 from .solver_degree import (DegreeSolverConfig, compute_ell, mwis,
                             solve_degree)
 from .treedec import (TreeDecomposition, build_weissauer, check_weissauer,
-                      find_k_block, torso, validate_tree_decomposition)
+                      torso, validate_tree_decomposition)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -57,7 +57,8 @@ class ExtendedStripDecomposition:
             full, end_a, end_b = edge_sets.get(e, ((), (), ()))
             self.edge_sets[e] = (frozenset(full), frozenset(end_a), frozenset(end_b))
         # The decomposition is never changed after construction, so the
-        # pattern's adjacency and triangles are computed once here.
+        # pattern's adjacency, its triangles and the particles are computed
+        # once here.
         nbrs = {x: [] for x in self.pattern_vertices}
         for x, y in self.pattern_edges:
             nbrs[x].append(y)
@@ -73,6 +74,12 @@ class ExtendedStripDecomposition:
             if k not in tri:
                 raise InputError(f"{k} is not a triangle of the pattern")
             self.triangle_sets[k] = frozenset(val)
+        parts = [self.particle_vertex(x) for x in self.pattern_vertices]
+        for e in self.pattern_edges:
+            parts += (self.particle_edge_interior(e), self.particle_half_edge(e, e[0]),
+                      self.particle_half_edge(e, e[1]), self.particle_full_edge(e))
+        parts += (self.particle_triangle(tr) for tr in self._triangles)
+        self._particles = tuple(parts)
 
     # -- pattern queries ------------------------------------------------------
 
@@ -138,17 +145,11 @@ class ExtendedStripDecomposition:
         return Particle(TRIANGLE, tr, self.eta_triangle(tr))
 
 
-def particles(D: ExtendedStripDecomposition) -> list:
-    """All particles of all five kinds, empty ones included."""
-    out = [D.particle_vertex(x) for x in D.pattern_vertices]
-    for e in D.pattern_edges:
-        out.append(D.particle_edge_interior(e))
-        out.append(D.particle_half_edge(e, e[0]))
-        out.append(D.particle_half_edge(e, e[1]))
-        out.append(D.particle_full_edge(e))
-    for tr in D.triangles():
-        out.append(D.particle_triangle(tr))
-    return out
+def particles(D: ExtendedStripDecomposition) -> tuple:
+    """All particles of all five kinds, empty ones included: the vertex
+    particles in pattern-vertex order, then per pattern edge its interior,
+    two half-edge and full-edge particles, then the triangle particles."""
+    return D._particles
 
 
 def _class_name(kind, anchor):

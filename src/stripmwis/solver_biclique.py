@@ -7,7 +7,9 @@ the independent subsets J of the bag's few high-degree vertices Q, and
 for each branch removes Q and N(J), decomposes the remainder around a
 short-path family, recurses separately on the components touched by the
 removal and on the particles of the restricted strip decomposition, and
-folds everything into the parent profile.  The fold enumerates the
+folds everything into the parent profile.  The particle profiles of an
+edgeless strip pattern are fold parts as they are; a pattern with edges
+is combined by the matching step first.  The fold enumerates the
 independent subsets of the terminals among (T cap V(G^J)) union T^Y union
 Y^J, those of the parent and of the parts; the rest of Y^J is a memoized
 maximum-weight independent set per subset.
@@ -17,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .border import BorderProfile, combine_esd
+from .border import BorderProfile
 from .bnb import iter_independent_sets
 from .decompose import DecomposeBudget
 from .errors import InputError, InvariantError
 from .esd import particles, restrict_esd
 from .graph import WeightedGraph
 from .oracle import OracleBudget
-from .solver_degree import Recursion, SolveResult, compute_ell, fold, run, unwrap
+from .solver_degree import (Recursion, SolveResult, compute_ell, fold, run,
+                            strip_parts, unwrap)
 from .trace import BranchRecord, TraceRecord
 from .treedec import (BuilderBudget, TreeDecomposition, build_weissauer,
                       high_degree_threshold, tree_sides)
@@ -230,7 +233,6 @@ class _BicliqueSolver(Recursion):
         for p in particles(DY):
             sub = GY.subgraph(p.members)
             profs[p] = self.solve(sub, TY & p.members, depth + 1)
-        fy = combine_esd(GY, TY, DY, profs, with_witnesses=self.cfg.with_witnesses)
 
         # Fold into the parent profile: maximize, over independent I in
         # (T cap V(G^J)) u T^Y u Y^J, w(J) + w(I cap Y^J) + f_Y(I cap T^Y)
@@ -241,5 +243,6 @@ class _BicliqueSolver(Recursion):
             for v in ctx.components[idx][1]:
                 weight[v] = weight.get(v, 0) - Gp.weight_of(v)
         fold(result, Gp, (T & vj) | TY | y, weight, y,
-             [fy] + [comp_profiles[idx] for idx in touched],
+             strip_parts(GY, TY, DY, profs, self.cfg.with_witnesses)
+             + [comp_profiles[idx] for idx in touched],
              base=Gp.total_weight(J), base_cell=result.mask_of(J & T), base_witness=J)

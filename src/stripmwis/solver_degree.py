@@ -3,9 +3,12 @@ skeleton and interface fold it shares with the biclique solver.
 
 Each call either brute-forces a small induced subgraph or removes the
 closed neighborhood of a short-path family X, recurses on the particles
-of the balanced strip decomposition of the remainder, combines the
-particle profiles through the matching step, and folds the removed part
-back in.  The fold enumerates the independent subsets of the terminals
+of the balanced strip decomposition of the remainder, and folds the
+particle profiles and the removed part together.  The particles of an
+edgeless strip pattern, which is all the reference decomposer emits, are
+its pairwise non-adjacent vertex classes, so their profiles are fold
+parts as they are; a pattern with edges is combined by the matching step
+first.  The fold enumerates the independent subsets of the terminals
 T* union (T cap N[X]) only; the rest of N[X] adds weight and nothing else,
 so for each subset it is a maximum-weight independent set, memoized on
 what the subset leaves alive.
@@ -276,6 +279,20 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
         result.update(cell, value, wit)
 
 
+def strip_parts(G: WeightedGraph, T, D, profiles, with_witnesses: bool) -> list:
+    """Fold parts that stand for the profile of (G, T) over the strip
+    decomposition D, given the profile of every particle of D.
+
+    The particles of an edgeless pattern are its vertex classes: they
+    partition V(G) and no edge joins two of them, so every auxiliary
+    graph of the combination step is empty and each cell is the sum of
+    the particle cells.  The fold forms that sum itself, so the particle
+    profiles are its parts.  A pattern with edges is combined first."""
+    if not D.pattern_edges:
+        return list(profiles.values())
+    return [combine_esd(G, T, D, profiles, with_witnesses=with_witnesses)]
+
+
 def _labels_of(mask: int, labels):
     return (labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -314,12 +331,10 @@ class _DegreeSolver(Recursion):
         self.trace.add(TraceRecord(depth, Gp.n, len(T), ukind, len(X), len(parts), False))
         profiles = {p: self.solve(Gstar.subgraph(p.members), Tstar & p.members, depth + 1)
                     for p in parts}
-        fstar = combine_esd(Gstar, Tstar, D, profiles,
-                            with_witnesses=self.cfg.with_witnesses)
         # Fold the removed closed neighborhood back in: maximize
         # w(I \ T*) + f*(I cap T*) into the cell I cap T.
         result = BorderProfile(tuple(Gp.label_of(i) for i in sorted(Gp.ids_of(T))),
                                with_witnesses=self.cfg.with_witnesses)
         fold(result, Gp, Tstar | closed, {v: Gp.weight_of(v) for v in closed}, closed,
-             [fstar])
+             strip_parts(Gstar, Tstar, D, profiles, self.cfg.with_witnesses))
         return result

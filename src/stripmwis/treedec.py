@@ -292,32 +292,6 @@ def _high_count_after(g, side, cut, thr):
     return sum(1 for v in sub.nodes if sub.degree(v) > thr)
 
 
-def find_k_block(G: WeightedGraph, k: int):
-    """Brute-force search for k vertices that are pairwise inseparable by
-    fewer than k vertex deletions; None when no such set exists."""
-    if k < 1:
-        raise InputError("k must be positive")
-    if G.n > 25:
-        raise CapacityError("k-block search limited to 25 vertices")
-    if G.n < k:
-        return None
-    g = nx.Graph()
-    g.add_nodes_from(range(G.n))
-    for u, v in G.edges_ids():
-        g.add_edge(u, v)
-    strong = nx.Graph()
-    strong.add_nodes_from(range(G.n))
-    for u, v in combinations(range(G.n), 2):
-        if g.has_edge(u, v):
-            strong.add_edge(u, v)  # adjacent pairs cannot be separated
-        elif len(nx.minimum_node_cut(g, u, v)) >= k:
-            strong.add_edge(u, v)
-    for clique in nx.find_cliques(strong):
-        if len(clique) >= k:
-            return G.labels_of(sorted(clique)[:k])
-    return None
-
-
 # -- text format ---------------------------------------------------------------
 
 def td_to_text(td: TreeDecomposition) -> str:

@@ -190,3 +190,17 @@ def cycle_mwis(weights) -> int:
             skip, take = max(skip, take), skip + w
         return max(skip, take)
     return max(path(weights[1:]), weights[0] + path(weights[2:-1]))
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's
+    arguments in the returned list and then makes the call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

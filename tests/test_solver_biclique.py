@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import stripmwis.border as border
 from stripmwis.border import brute_force_border
 from stripmwis.errors import CapacityError, InputError
 from stripmwis.generate import generate_random_instance
@@ -13,8 +14,8 @@ from stripmwis.solver_biclique import (BicliqueSolverConfig, choose_sink_node,
 from stripmwis.trace import BranchRecord
 from stripmwis.treedec import TreeDecomposition, build_weissauer
 
-from helpers import (cycle_mwis, hub_caterpillar, union_graph, weighted_cycle,
-                     windmill_caterpillar)
+from helpers import (count_calls, cycle_mwis, hub_caterpillar, union_graph,
+                     weighted_cycle, windmill_caterpillar)
 
 
 def test_config_requires_k_at_least_two():
@@ -46,8 +47,11 @@ def test_choose_sink_prefers_heavy_side():
     assert ctx2.node == 1
 
 
-def test_forced_recursion_matches_oracle_on_trees():
-    rng = random.Random(1)
+def test_forced_recursion_matches_oracle_on_trees(monkeypatch):
+    # the strip decompositions of the branches have edgeless patterns, so
+    # their particle profiles go straight into the fold, and no combination
+    # plan is built
+    plans = count_calls(monkeypatch, border, "build_combination_plan")
     for seed in range(12):
         G = hub_caterpillar(random.Random(seed), 36, hubs=3, hub_legs=6)
         cfg = BicliqueSolverConfig(t=2, k=2, leaf_cap_override=14,
@@ -56,6 +60,7 @@ def test_forced_recursion_matches_oracle_on_trees():
         assert value == mwis_bruteforce(G)[0]
         assert G.is_independent(witness) and G.total_weight(witness) == value
         assert trace.call_count > 1
+    assert plans == []
 
 
 def test_windmills_exercise_branching():

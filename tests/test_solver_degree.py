@@ -4,17 +4,21 @@ from itertools import combinations
 import pytest
 
 from stripmwis.border import BorderProfile, brute_force_border
+from stripmwis.decompose import DecomposeOutcome
 from stripmwis.errors import CapacityError, InvariantError
+from stripmwis.esd import ExtendedStripDecomposition
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, max_weight_matching
 from stripmwis.oracle import mwis_bruteforce
+import stripmwis.border as border
 import stripmwis.solver_degree as solver_degree
 from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis,
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import cycle_mwis, random_graph, union_graph, weighted_cycle
+from helpers import (count_calls, cycle_mwis, random_graph, union_graph,
+                     weighted_cycle)
 
 
 def test_compute_ell_examples():
@@ -43,7 +47,10 @@ def test_default_config_collapses_to_leaf():
     assert trace.call_count == 1 and trace.leaf_count == 1
 
 
-def test_forced_recursion_matches_oracle():
+def test_forced_recursion_matches_oracle(monkeypatch):
+    # the reference decomposer emits edgeless patterns only: their particle
+    # profiles go straight into the fold, and no combination plan is built
+    plans = count_calls(monkeypatch, border, "build_combination_plan")
     for seed in range(25):
         G = generate_random_instance(34, 3, 2, seed)
         cfg = DegreeSolverConfig(t=2, leaf_cap_override=12, with_witnesses=True)
@@ -52,6 +59,39 @@ def test_forced_recursion_matches_oracle():
         assert G.is_independent(witness) and G.total_weight(witness) == value
         assert trace.call_count > 1
         assert trace.max_depth <= 2 * 6  # 2 * ceil(log2 34)
+    assert plans == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_patterns_with_edges_go_through_the_combination_step(monkeypatch, seed):
+    # No decomposer emits a pattern with edges yet, so the root call gets
+    # the canonical decomposition of a line graph L(R): pattern R without
+    # its isolated vertices, each vertex of L alone in its edge class and
+    # in both end-sets, and no removed paths.
+    nx = pytest.importorskip("networkx")
+    R = nx.gnm_random_graph(14, 22, seed=seed)
+    rng = random.Random(seed)
+    ew = {frozenset(e): rng.randint(1, 20) for e in R.edges}
+    L = line_graph(WeightedGraph(range(14), [1] * 14, sorted(R.edges)), ew)
+    D = ExtendedStripDecomposition(
+        [x for x in R if R.degree(x)], R.edges, {},
+        {(min(lab), max(lab)): ({lab},) * 3 for lab in L.labels})
+    decompose = solver_degree.decompose
+
+    def canonical_at_root(G, U, t, budget):
+        if G is L:
+            return DecomposeOutcome(paths=(), esd=D)
+        return decompose(G, U, t, budget)
+
+    monkeypatch.setattr(solver_degree, "decompose", canonical_at_root)
+    calls = count_calls(monkeypatch, solver_degree, "combine_esd")
+    cfg = DegreeSolverConfig(t=2, leaf_cap_override=4, with_witnesses=True)
+    T = frozenset(rng.sample(list(L.labels), 6))
+    assert solve_degree(L, T, cfg).profile.same_table(brute_force_border(L, T))
+    value, _, _ = mwis(L, cfg)
+    assert value == sum(ew[frozenset(e)] for e in nx.max_weight_matching(
+        nx.Graph([(u, v, {"weight": ew[frozenset((u, v))]}) for u, v in R.edges])))
+    assert calls
 
 
 def test_profile_with_terminals_matches_exhaustive():

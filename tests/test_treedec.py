@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from stripmwis.errors import CapacityError, InputError
+from stripmwis.errors import InputError
 from stripmwis.graph import WeightedGraph
 from stripmwis.treedec import (TreeDecomposition, build_weissauer,
-                               check_weissauer, find_k_block,
-                               high_degree_threshold, td_from_text, td_to_text,
-                               torso, validate_tree_decomposition)
+                               check_weissauer, high_degree_threshold,
+                               td_from_text, td_to_text, torso,
+                               validate_tree_decomposition)
 
 from helpers import hub_caterpillar, windmill_caterpillar
 
@@ -110,24 +110,6 @@ def test_build_on_windmills_passes_validators():
 def test_build_requires_k_at_least_two():
     with pytest.raises(InputError):
         build_weissauer(p3(), 1)
-
-
-def test_find_k_block_examples():
-    k4 = WeightedGraph(range(4), [1] * 4,
-                       [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    blk = find_k_block(k4, 4)
-    assert blk == frozenset(range(4))
-    tree = WeightedGraph(range(6), [1] * 6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
-    two = find_k_block(tree, 2)
-    assert two is not None and tree.has_edge_labels(*sorted(two))
-    c5 = WeightedGraph(range(5), [1] * 5, [(i, (i + 1) % 5) for i in range(5)])
-    assert find_k_block(c5, 3) is None
-
-
-def test_find_k_block_guard():
-    big = WeightedGraph(range(26), [1] * 26, [])
-    with pytest.raises(CapacityError):
-        find_k_block(big, 2)
 
 
 def test_td_text_round_trip():
