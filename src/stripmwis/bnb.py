@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from .errors import CapacityError
 
+#: Branch nodes one `max_weight_set` call may visit.
+MAX_NODES = 20_000_000
 
-def max_weight_set(adj_masks, weights, alive: int, node_cap=None):
+
+def max_weight_set(adj_masks, weights, alive: int):
     """Exact MWIS restricted to the vertices in `alive`.
 
-    Returns (best_weight, best_mask).  `node_cap`, when given, bounds the
-    number of branch nodes and raises CapacityError beyond it.
+    Returns (best_weight, best_mask); raises CapacityError beyond
+    MAX_NODES branch nodes.
     """
     best_w = 0
     best_m = 0
@@ -40,8 +43,8 @@ def max_weight_set(adj_masks, weights, alive: int, node_cap=None):
     def dfs(mask, cur_w, cur_m):
         nonlocal best_w, best_m, nodes
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise CapacityError("branch-and-bound node budget exceeded")
+        if nodes > MAX_NODES:
+            raise CapacityError(f"bnb: branch and bound exceeded MAX_NODES={MAX_NODES} nodes")
         # Harvest isolated vertices and compute the remaining-weight bound.
         rem_w = 0
         pick = -1

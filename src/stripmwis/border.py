@@ -21,6 +21,10 @@ from .matching import AuxGraph, max_weight_matching
 
 #: Hard cap on the number of terminals a dense profile may carry.
 MAX_PROFILE_TERMINALS = 26
+#: Vertices and terminals the exhaustive border solver accepts; the
+#: solvers' leaves and the oracles run on it.
+MAX_LEAF_VERTICES = 40
+MAX_LEAF_TERMINALS = 20
 
 
 class BorderProfile:
@@ -34,8 +38,8 @@ class BorderProfile:
         self.terminals = tuple(terminals)
         if len(self.terminals) > MAX_PROFILE_TERMINALS:
             raise CapacityError(
-                f"profile over {len(self.terminals)} terminals exceeds the "
-                f"cap of {MAX_PROFILE_TERMINALS}")
+                f"border: profile over {len(self.terminals)} terminals exceeds "
+                f"MAX_PROFILE_TERMINALS={MAX_PROFILE_TERMINALS}")
         self._bit = {t: i for i, t in enumerate(self.terminals)}
         if len(self._bit) != len(self.terminals):
             raise InputError("duplicate terminals")
@@ -116,18 +120,19 @@ def _ordered_terminals(G: WeightedGraph, T) -> tuple:
     return tuple(G.label_of(i) for i in sorted(G.ids_of(T)))
 
 
-def brute_force_border(G: WeightedGraph, T, max_vertices=40, max_terminals=20,
-                       node_cap=None, with_witnesses=False) -> BorderProfile:
+def brute_force_border(G: WeightedGraph, T, with_witnesses=False) -> BorderProfile:
     """Exact profile by exhaustive search; the global oracle and leaf step.
 
     Enumerates independent terminal subsets and solves the residual MWIS
     for each by branch and bound; non-independent subsets keep -infinity.
     """
     terminals = _ordered_terminals(G, T)
-    if G.n > max_vertices:
-        raise CapacityError(f"brute-force border limited to {max_vertices} vertices")
-    if len(terminals) > max_terminals:
-        raise CapacityError(f"brute-force border limited to {max_terminals} terminals")
+    if G.n > MAX_LEAF_VERTICES:
+        raise CapacityError(f"border: brute-force border over {G.n} vertices exceeds "
+                            f"MAX_LEAF_VERTICES={MAX_LEAF_VERTICES}")
+    if len(terminals) > MAX_LEAF_TERMINALS:
+        raise CapacityError(f"border: brute-force border over {len(terminals)} terminals "
+                            f"exceeds MAX_LEAF_TERMINALS={MAX_LEAF_TERMINALS}")
     prof = BorderProfile(terminals, with_witnesses=with_witnesses)
     adjm = G.adj_masks
     weights = G.weights
@@ -140,7 +145,7 @@ def brute_force_border(G: WeightedGraph, T, max_vertices=40, max_terminals=20,
     def rec(i, chosen, nbhd, submask, wsum):
         if i == len(tids):
             alive = rest & ~nbhd
-            best_w, best_m = bnb.max_weight_set(adjm, weights, alive, node_cap)
+            best_w, best_m = bnb.max_weight_set(adjm, weights, alive)
             wit = G.labels_of_mask(chosen | best_m) if with_witnesses else None
             prof.update(submask, wsum + best_w, wit)
             return

@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .border import MAX_LEAF_VERTICES
 from .errors import (CapacityError, ContractViolation, InputError,
                      InvariantError, ParseError)
 from .esd import esd_from_text, validate_esd
@@ -155,8 +156,15 @@ def _apply_config_file(parser, path):
     parser.set_defaults(**defaults)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _load_graph(path) -> WeightedGraph:
-    return read_graph(Path(path).read_text(encoding="utf-8"))
+    return read_graph(_read_text(path))
 
 
 def _fmt_witness(witness) -> str:
@@ -166,7 +174,7 @@ def _fmt_witness(witness) -> str:
 def _run_algo(G, algo, args):
     """Returns (value, witness, trace, algo_used)."""
     if algo == "auto":
-        if G.n <= 40:
+        if G.n <= MAX_LEAF_VERTICES:
             algo = "bruteforce"
         elif G.max_degree() <= 6:
             algo = "degree"
@@ -246,12 +254,12 @@ def cmd_check(args) -> int:
     G = _load_graph(args.graph)
     failed = False
     if args.esd:
-        D = esd_from_text(Path(args.esd).read_text(encoding="utf-8"))
+        D = esd_from_text(_read_text(args.esd))
         report = validate_esd(G, D, require_rigid=False)
         _print_report(f"esd {args.esd}", report)
         failed |= bool(report)
     if args.td:
-        td = td_from_text(Path(args.td).read_text(encoding="utf-8"))
+        td = td_from_text(_read_text(args.td))
         report = validate_tree_decomposition(G, td)
         if not report and args.weissauer is not None:
             report = check_weissauer(G, td, args.weissauer)
@@ -259,7 +267,7 @@ def cmd_check(args) -> int:
         failed |= bool(report)
     if args.outcome:
         from .decompose import outcome_from_text, validate_outcome
-        outcome = outcome_from_text(Path(args.outcome).read_text(encoding="utf-8"))
+        outcome = outcome_from_text(_read_text(args.outcome))
         report = validate_outcome(G, G.label_set, args.t, outcome)
         _print_report(f"outcome {args.outcome}", report)
         failed |= bool(report)
@@ -338,7 +346,7 @@ def cmd_bench(args) -> int:
         depth = trace.max_depth if trace else 0
         calls = trace.call_count if trace else 1
         ok = ""
-        if G.n <= 40:
+        if G.n <= MAX_LEAF_VERTICES:
             ok = "1" if mwis_bruteforce(G)[0] == value else "0"
         return [path.name, algo, str(value), f"{ms:.1f}", str(depth), str(calls), ok]
 

@@ -1,18 +1,22 @@
-"""Balanced decomposition step: witness or path family plus a rigid
-extended strip decomposition.
+"""Balanced decomposition step: a path family plus a rigid extended
+strip decomposition.
 
-The contract: given (G, U, t), either return an induced three-legged
-subdivided claw with legs of t edges, or a family P of at most
-ceil(11*log2(n) + 6) induced paths, each on at most t + 2 vertices,
-together with a rigid extended strip decomposition of G - N[union(P)]
-in which every particle holds at most ceil(|U|/2) vertices of U.
+The contract: given (G, U, t) with G free of an induced S_{t,t,t},
+return a family P of at most ceil(11*log2(n) + 6) induced paths, each on
+at most t + 2 vertices, together with a rigid extended strip
+decomposition of G - N[union(P)] in which every particle holds at most
+ceil(|U|/2) vertices of U.  The claw search is not part of this step:
+the solvers only decompose induced subgraphs of their input, so they
+search the input once at the root.
 
 The reference implementation searches, by iterative deepening over the
 size of X = union(P), for a vertex set whose closed-neighborhood removal
 splits the graph into components that are each light in U; the component
 decomposition (one isolated pattern vertex per component) is then always
-rigid and valid.  Any implementation is accepted as long as its outcomes
-pass `validate_outcome`.
+rigid and valid.  It gives up with a CapacityError beyond MAX_UNION_SIZE
+vertices in X or MAX_CANDIDATES candidate sets.  Any implementation is
+accepted as long as its outcomes pass `validate_outcome`, which the
+solvers run on every outcome.
 """
 
 from __future__ import annotations
@@ -21,10 +25,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapacityError, InputError
-from .esd import ExtendedStripDecomposition, components_esd, particles, validate_esd
+from .errors import CapacityError, InputError, ParseError
+from .esd import (ExtendedStripDecomposition, components_esd, esd_from_text,
+                  esd_to_text, particles, validate_esd)
 from .graph import WeightedGraph, components_masks, neighborhood_mask
-from .patterns import SubdividedClawWitness, find_induced_sttt, witness_violations
+
+#: Largest union X = union(P) the reference search tries.
+MAX_UNION_SIZE = 4
+#: Candidate sets X the reference search may examine in one call.
+MAX_CANDIDATES = 400_000
 
 
 def path_count_cap(n: int) -> int:
@@ -33,22 +42,11 @@ def path_count_cap(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class DecomposeBudget:
-    max_union_size: int = 4
-    max_candidates: int = 400_000
-
-
-@dataclass(frozen=True)
 class DecomposeOutcome:
-    """Either a subdivided-claw witness or (paths, decomposition)."""
+    """A path family and a strip decomposition of what its removal leaves."""
 
-    witness: SubdividedClawWitness | None = None
-    paths: tuple | None = None
-    esd: ExtendedStripDecomposition | None = None
-
-    @property
-    def found_witness(self) -> bool:
-        return self.witness is not None
+    paths: tuple
+    esd: ExtendedStripDecomposition
 
     def removed_set(self) -> frozenset:
         out = set()
@@ -59,11 +57,6 @@ class DecomposeOutcome:
 
 def validate_outcome(G: WeightedGraph, U, t: int, outcome: DecomposeOutcome) -> list:
     """Re-check every contract condition; empty report iff the outcome holds."""
-    if outcome.found_witness:
-        report = witness_violations(G, outcome.witness)
-        if outcome.witness.leg_lengths() != (t, t, t):
-            report.append(f"witness legs {outcome.witness.leg_lengths()} != ({t}, {t}, {t})")
-        return report
     report = []
     if len(outcome.paths) > path_count_cap(G.n):
         report.append(f"{len(outcome.paths)} paths exceed the cap {path_count_cap(G.n)}")
@@ -94,23 +87,17 @@ def validate_outcome(G: WeightedGraph, U, t: int, outcome: DecomposeOutcome) -> 
     return report
 
 
-def decompose(G: WeightedGraph, U, t: int,
-              budget: DecomposeBudget | None = None) -> DecomposeOutcome:
+def decompose(G: WeightedGraph, U, t: int) -> DecomposeOutcome:
     """Reference decomposition search.
 
-    Checks for a witness first; otherwise enumerates candidate sets X in
-    order of increasing size (then lexicographic by vertex id), accepting
-    the first X that is a disjoint union of short induced paths and whose
-    closed-neighborhood removal leaves only U-balanced components.
+    Enumerates candidate sets X in order of increasing size (then
+    lexicographic by vertex id), accepting the first X that is a disjoint
+    union of short induced paths and whose closed-neighborhood removal
+    leaves only U-balanced components.
     """
-    budget = budget or DecomposeBudget()
     uset = frozenset(U)
     if not uset <= G.label_set:
         raise InputError("U must be a subset of the vertices")
-    witness = find_induced_sttt(G, t)
-    if witness is not None:
-        return DecomposeOutcome(witness=witness)
-
     n = G.n
     adjm = G.adj_masks
     full = (1 << n) - 1
@@ -121,13 +108,13 @@ def decompose(G: WeightedGraph, U, t: int,
 
     best_imbalance = None
     examined = 0
-    for size in range(0, min(budget.max_union_size, n) + 1):
+    for size in range(0, min(MAX_UNION_SIZE, n) + 1):
         for combo in combinations(range(n), size):
             examined += 1
-            if examined > budget.max_candidates:
+            if examined > MAX_CANDIDATES:
                 raise CapacityError(
-                    "decomposition not found within the candidate budget; "
-                    f"best imbalance achieved: {best_imbalance}")
+                    f"decompose: no decomposition within MAX_CANDIDATES={MAX_CANDIDATES} "
+                    f"candidate sets; best imbalance achieved: {best_imbalance}")
             xmask = 0
             for v in combo:
                 xmask |= 1 << v
@@ -141,15 +128,10 @@ def decompose(G: WeightedGraph, U, t: int,
                 best_imbalance = worst
             if worst <= cap:
                 esd = components_esd([G.labels_of_mask(c) for c in comps])
-                outcome = DecomposeOutcome(paths=tuple(paths), esd=esd)
-                report = validate_outcome(G, uset, t, outcome)
-                if report:
-                    raise CapacityError(
-                        "reference decomposition failed validation: " + "; ".join(report))
-                return outcome
+                return DecomposeOutcome(paths=tuple(paths), esd=esd)
     raise CapacityError(
-        "decomposition not found up to union size "
-        f"{budget.max_union_size}; best imbalance achieved: {best_imbalance}")
+        f"decompose: no decomposition with |X| <= MAX_UNION_SIZE={MAX_UNION_SIZE}; "
+        f"best imbalance achieved: {best_imbalance}")
 
 
 def _paths_of(G, adjm, xmask, pathcap, maxlen):
@@ -193,14 +175,6 @@ def _paths_of(G, adjm, xmask, pathcap, maxlen):
 
 
 def outcome_to_text(outcome: DecomposeOutcome) -> str:
-    from .esd import esd_to_text
-
-    if outcome.found_witness:
-        w = outcome.witness
-        lines = [f"witness center {w.center}"]
-        for leg in w.legs:
-            lines.append("witness leg " + " ".join(str(v) for v in leg))
-        return "\n".join(lines) + "\n"
     lines = [f"paths {len(outcome.paths)}"]
     for p in outcome.paths:
         lines.append("path " + " ".join(str(v) for v in p))
@@ -208,9 +182,6 @@ def outcome_to_text(outcome: DecomposeOutcome) -> str:
 
 
 def outcome_from_text(text: str) -> DecomposeOutcome:
-    from .errors import ParseError
-    from .esd import esd_from_text
-
     lines = text.splitlines()
     paths = []
     esd_start = None
@@ -220,17 +191,20 @@ def outcome_from_text(text: str) -> DecomposeOutcome:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "paths":
-            count = int(parts[1])
-        elif parts[0] == "path":
-            paths.append(tuple(int(v) for v in parts[1:]))
-        elif parts[0] == "witness":
-            raise ParseError("witness outcomes cannot be re-validated from file", idx + 1)
-        else:
+        if parts[0] not in ("paths", "path"):
             esd_start = idx
             break
+        try:
+            if parts[0] == "paths":
+                count = int(parts[1])
+            else:
+                paths.append(tuple(int(v) for v in parts[1:]))
+        except (IndexError, ValueError):
+            raise ParseError(f"malformed {parts[0]!r} line", idx + 1) from None
     if count is None or esd_start is None:
         raise ParseError("outcome file must list paths then a decomposition")
     if count != len(paths):
         raise ParseError(f"expected {count} paths, found {len(paths)}")
-    return DecomposeOutcome(paths=tuple(paths), esd=esd_from_text("\n".join(lines[esd_start:])))
+    # Blank lines in place of the path lines keep the file's line numbers.
+    return DecomposeOutcome(paths=tuple(paths),
+                            esd=esd_from_text("\n" * esd_start + "\n".join(lines[esd_start:])))

@@ -7,46 +7,27 @@ exhaustive border solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bnb
-from .border import BorderProfile, brute_force_border
+from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border
 from .errors import CapacityError, InvariantError
 from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices: int = 40
-    max_terminals: int = 20
-    max_nodes: int = 20_000_000
-
-    def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_terminals <= 0 or self.max_nodes <= 0:
-            raise ValueError("oracle budget fields must be positive")
-
-
-def mwis_bruteforce(G: WeightedGraph, budget: OracleBudget | None = None):
+def mwis_bruteforce(G: WeightedGraph):
     """Exact maximum-weight independent set: (weight, witness label set)."""
-    budget = budget or OracleBudget()
-    if G.n > budget.max_vertices:
-        raise CapacityError(
-            f"oracle limited to {budget.max_vertices} vertices, got {G.n}")
-    w, mask = bnb.max_weight_set(G.adj_masks, G.weights, (1 << G.n) - 1,
-                                 node_cap=budget.max_nodes)
+    if G.n > MAX_LEAF_VERTICES:
+        raise CapacityError(f"oracle: {G.n} vertices exceed "
+                            f"MAX_LEAF_VERTICES={MAX_LEAF_VERTICES}")
+    w, mask = bnb.max_weight_set(G.adj_masks, G.weights, (1 << G.n) - 1)
     witness = G.labels_of_mask(mask)
     if not G.is_independent(witness) or G.total_weight(witness) != w:
         raise InvariantError("oracle witness failed re-verification")
     return w, witness
 
 
-def verify_solution(G: WeightedGraph, T, profile: BorderProfile,
-                    budget: OracleBudget | None = None) -> list:
+def verify_solution(G: WeightedGraph, T, profile: BorderProfile) -> list:
     """Entrywise comparison of a profile against the exhaustive oracle."""
-    budget = budget or OracleBudget()
-    want = brute_force_border(G, T, max_vertices=budget.max_vertices,
-                              max_terminals=budget.max_terminals,
-                              node_cap=budget.max_nodes)
+    want = brute_force_border(G, T)
     report = []
     if set(profile.terminals) != set(want.terminals):
         return [f"terminal sets differ: {profile.terminals} vs {want.terminals}"]

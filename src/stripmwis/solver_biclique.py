@@ -1,6 +1,8 @@
 """Recursive border solver for inputs with no large biclique subgraph.
 
-Each non-leaf call builds a tree decomposition with small adhesions and
+As in the degree solver, a recursive run first searches its whole input
+for an induced S_{t,t,t} and returns the claw if there is one.  Each
+non-leaf call builds a tree decomposition with small adhesions and
 degree-bounded torsos, picks a bag that is a sink under the orientation
 of tree edges toward the heavier side of the balance set U, branches on
 the independent subsets J of the bag's few high-degree vertices Q, and
@@ -17,20 +19,18 @@ maximum-weight independent set per subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .border import BorderProfile
 from .bnb import iter_independent_sets
-from .decompose import DecomposeBudget
 from .errors import InputError, InvariantError
 from .esd import particles, restrict_esd
 from .graph import WeightedGraph
-from .oracle import OracleBudget
 from .solver_degree import (Recursion, SolveResult, compute_ell, fold, run,
                             strip_parts, unwrap)
 from .trace import BranchRecord, TraceRecord
-from .treedec import (BuilderBudget, TreeDecomposition, build_weissauer,
-                      high_degree_threshold, tree_sides)
+from .treedec import (TreeDecomposition, build_weissauer, high_degree_threshold,
+                      tree_sides)
 
 
 @dataclass
@@ -39,14 +39,11 @@ class BicliqueSolverConfig:
     k: int = 10
     ell_scale: object = 1
     # Not part of the published recursion: at desk scale 32*k^5*ell always
-    # exceeds the oracle budget, which then sets the leaf cap; an explicit
+    # exceeds MAX_LEAF_VERTICES, which then sets the leaf cap; an explicit
     # cap below it makes the solver recurse on smaller instances.  Terminal
     # invariants stay at 32*k^5*ell.
     leaf_cap_override: int | None = None
     with_witnesses: bool = False
-    decompose_budget: DecomposeBudget = field(default_factory=DecomposeBudget)
-    oracle_budget: OracleBudget = field(default_factory=OracleBudget)
-    builder_budget: BuilderBudget = field(default_factory=BuilderBudget)
 
     def __post_init__(self):
         if self.k < 2:
@@ -157,7 +154,7 @@ class _BicliqueSolver(Recursion):
         return Gp.n <= self.leaf_cap or len(Gp.label_set - T) <= 1
 
     def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
-        td = build_weissauer(Gp, self.k, self.cfg.builder_budget)
+        td = build_weissauer(Gp, self.k)
         if len(T) <= self.u_rule_cap:
             U, ukind = Gp.label_set - T, "V"
         else:

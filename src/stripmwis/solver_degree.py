@@ -1,6 +1,10 @@
 """Recursive border solver for bounded-degree inputs, and the recursion
 skeleton and interface fold it shares with the biclique solver.
 
+A run first searches its input for an induced S_{t,t,t} and returns the
+claw if there is one.  Every graph the recursion decomposes is an induced
+subgraph of the input, so that one search covers them all.
+
 Each call either brute-forces a small induced subgraph or removes the
 closed neighborhood of a short-path family X, recurses on the particles
 of the balanced strip decomposition of the remainder, and folds the
@@ -22,17 +26,16 @@ the recursion instead of collapsing into one brute-force leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .border import BorderProfile, brute_force_border, combine_esd
+from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border, combine_esd
 from .bnb import iter_independent_sets, max_weight_set
-from .decompose import DecomposeBudget, decompose, validate_outcome
+from .decompose import decompose, validate_outcome
 from .errors import InputError, InvariantError
 from .esd import check_pattern_degree, occurrence_bound, particles
 from .graph import WeightedGraph
-from .oracle import OracleBudget
-from .patterns import SubdividedClawWitness
+from .patterns import SubdividedClawWitness, find_induced_sttt, witness_violations
 from .trace import RecursionTrace, TraceRecord
 
 
@@ -54,8 +57,6 @@ class DegreeSolverConfig:
     ell_scale: object = 1
     leaf_cap_override: int | None = None
     with_witnesses: bool = False
-    decompose_budget: DecomposeBudget = field(default_factory=DecomposeBudget)
-    oracle_budget: OracleBudget = field(default_factory=OracleBudget)
 
 
 @dataclass
@@ -69,20 +70,25 @@ class SolveResult:
         return self.witness is not None
 
 
-class _Witness(Exception):
-    """Internal control flow: an induced subdivided claw surfaced."""
-
-    def __init__(self, witness):
-        self.witness = witness
-
-
 def run(solver, G: WeightedGraph, T) -> SolveResult:
-    """Solve (G, T) from the root; an induced subdivided claw ends the run."""
-    try:
-        profile = solver.solve(G, frozenset(T), depth=0)
-    except _Witness as w:
-        return SolveResult(witness=w.witness, trace=solver.trace)
-    return SolveResult(profile=profile, trace=solver.trace)
+    """Solve (G, T) from the root, or return an induced S_{t,t,t} of G.
+
+    A root leaf needs no decomposition, so only a recursive run searches
+    for the claw; its graphs are all induced subgraphs of G, so the one
+    search of G stands for all of them."""
+    T = frozenset(T)
+    t = solver.cfg.t
+    if not solver.is_leaf(G, T):
+        witness = find_induced_sttt(G, t)
+        if witness is not None:
+            report = witness_violations(G, witness)
+            if witness.leg_lengths() != (t, t, t):
+                report.append(f"witness legs {witness.leg_lengths()} != ({t}, {t}, {t})")
+            if report:
+                raise InvariantError("claw witness failed re-verification: "
+                                     + "; ".join(report))
+            return SolveResult(witness=witness, trace=solver.trace)
+    return SolveResult(profile=solver.solve(G, T, depth=0), trace=solver.trace)
 
 
 def unwrap(G: WeightedGraph, result: SolveResult):
@@ -118,9 +124,9 @@ class Recursion:
         self.cfg = cfg
         self.terminal_cap = terminal_cap
         # The theoretical leaf cap equals the terminal cap; the leaves run
-        # on the brute-force oracle, so they never exceed its budget.
+        # on the brute-force border solver, so they never exceed its limit.
         leaf_cap = terminal_cap if cfg.leaf_cap_override is None else cfg.leaf_cap_override
-        self.leaf_cap = min(leaf_cap, cfg.oracle_budget.max_vertices)
+        self.leaf_cap = min(leaf_cap, MAX_LEAF_VERTICES)
         self.depth_cap = max(1, 2 * math.ceil(math.log2(max(G.n, 2))))
         self.trace = RecursionTrace()
 
@@ -132,10 +138,7 @@ class Recursion:
             raise InvariantError(f"recursion depth {depth} exceeds {self.depth_cap}")
         if self.is_leaf(Gp, T):
             self.trace.add(TraceRecord(depth, Gp.n, len(T), "-", 0, 0, True))
-            budget = self.cfg.oracle_budget
-            return brute_force_border(
-                Gp, T, max_vertices=budget.max_vertices, max_terminals=budget.max_terminals,
-                node_cap=budget.max_nodes, with_witnesses=self.cfg.with_witnesses)
+            return brute_force_border(Gp, T, with_witnesses=self.cfg.with_witnesses)
         result = self.split(Gp, T, depth)
         if self.cfg.with_witnesses:
             tset = set(result.terminals)
@@ -154,9 +157,7 @@ class Recursion:
         raise NotImplementedError
 
     def decompose(self, G: WeightedGraph, U):
-        outcome = decompose(G, U, self.cfg.t, self.cfg.decompose_budget)
-        if outcome.found_witness:
-            raise _Witness(outcome.witness)
+        outcome = decompose(G, U, self.cfg.t)
         report = validate_outcome(G, U, self.cfg.t, outcome)
         if report:
             raise InvariantError("decomposition failed validation: " + "; ".join(report))

@@ -3,20 +3,22 @@
 The builder is a validator-gated best effort: it splits bags along
 minimum vertex separators of the torso between high-degree vertices
 until every torso has at most k vertices of degree above 2k(k-1), or
-fails with diagnostics.  Every returned decomposition passes both
-`validate_tree_decomposition` and `check_weissauer`.
+fails with diagnostics after MAX_SPLITS splits.  Every returned
+decomposition passes both `validate_tree_decomposition` and
+`check_weissauer`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
 
-from .errors import CapacityError, InputError, InvariantError
+from .errors import CapacityError, InputError, InvariantError, ParseError
 from .graph import WeightedGraph
+
+#: Bag splits the builder may make in one call.
+MAX_SPLITS = 400
 
 
 class TreeDecomposition:
@@ -171,13 +173,7 @@ def check_weissauer(G: WeightedGraph, td: TreeDecomposition, k: int) -> list:
     return report
 
 
-@dataclass(frozen=True)
-class BuilderBudget:
-    max_splits: int = 400
-
-
-def build_weissauer(G: WeightedGraph, k: int,
-                    budget: BuilderBudget | None = None) -> TreeDecomposition:
+def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     """Best-effort construction of a decomposition passing check_weissauer.
 
     Connected components get their own bags first; a bag whose torso has
@@ -187,7 +183,6 @@ def build_weissauer(G: WeightedGraph, k: int,
     """
     if k < 2:
         raise InputError("k must be at least 2")
-    budget = budget or BuilderBudget()
     thr = high_degree_threshold(k)
 
     comps = G.components()
@@ -221,16 +216,15 @@ def build_weissauer(G: WeightedGraph, k: int,
         high = high_of(g)
         if len(high) <= k:
             continue
-        if splits >= budget.max_splits:
+        if splits >= MAX_SPLITS:
             raise CapacityError(
-                f"tree decomposition split budget exhausted; unresolved bag of "
+                f"treedec: MAX_SPLITS={MAX_SPLITS} bag splits made; unresolved bag of "
                 f"size {len(bags[node])} with {len(high)} high-degree vertices")
         split = _find_split(g, high, k, thr, bags, neighbors, node)
         if split is None:
             raise CapacityError(
-                "no separator below "
-                f"{k} reduces the high-degree count of a bag of size {len(bags[node])} "
-                f"with {len(high)} high-degree vertices")
+                f"treedec: no separator below k={k} reduces the high-degree count "
+                f"of a bag of size {len(bags[node])} with {len(high)} high-degree vertices")
         splits += 1
         w1, w2, side1_nbrs, side2_nbrs = split
         other = next_id
@@ -305,8 +299,6 @@ def td_to_text(td: TreeDecomposition) -> str:
 
 
 def td_from_text(text: str) -> TreeDecomposition:
-    from .errors import ParseError
-
     bags = {}
     edges = []
     count = None
@@ -316,7 +308,10 @@ def td_from_text(text: str) -> TreeDecomposition:
             continue
         parts = line.split()
         if parts[0] == "t":
-            count = int(parts[1])
+            try:
+                count = int(parts[1])
+            except (IndexError, ValueError):
+                raise ParseError("header must be 't <bags>'", lineno) from None
         elif parts[0] == "b":
             try:
                 node = int(parts[1])

@@ -252,8 +252,6 @@ def test_criterion_6_structural_invariants(degree_corpus, biclique_corpus):
     for seed in range(30):
         G = generate_random_instance(30 + seed % 8, 3, 2, 5000 + seed)
         out = decompose(G, G.label_set, 2)
-        if out.found_witness:
-            continue
         assert validate_outcome(G, G.label_set, 2, out) == []
         D = out.esd
         rest = G.subgraph(G.label_set - G.closed_neighborhood(out.removed_set()))

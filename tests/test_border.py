@@ -45,15 +45,15 @@ def test_p4_no_terminals():
 
 def test_capacity_guards():
     big = WeightedGraph(range(41), [1] * 41, [])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^border: .*MAX_LEAF_VERTICES=40"):
         brute_force_border(big, set())
     G = WeightedGraph(range(22), [1] * 22, [])
-    with pytest.raises(CapacityError):
-        brute_force_border(G, set(G.labels), max_terminals=20)
+    with pytest.raises(CapacityError, match=r"^border: .*MAX_LEAF_TERMINALS=20"):
+        brute_force_border(G, set(G.labels))
 
 
 def test_profile_terminal_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^border: .*MAX_PROFILE_TERMINALS=26"):
         BorderProfile(range(27))
     BorderProfile(range(26))  # at the cap is fine
 

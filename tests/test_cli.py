@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import stripmwis
 from stripmwis.cli import main
 from stripmwis.fileio import read_graph, write_graph
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
@@ -76,6 +78,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("p 1 0\nv 1 -5\n")
     code, _, err = run_cli(["solve", str(bad)], capsys)
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    (None, None, "cannot read"),
+    ("--outcome", "paths x\n", "line 1"),
+    ("--outcome", "paths 1\npath 1 a\nh 1 0\n", "line 2"),
+    ("--outcome", "paths 0\nh 1 0\nbogus\n", "line 3"),
+    ("--td", "t\n", "line 1"),
+    ("--esd", None, "cannot read"),
+])
+def test_malformed_or_missing_input_files_exit_2(tmp_path, capsys, flag, text, message):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(write_graph(generate_random_instance(8, 3, 2, 1)))
+    fpath = tmp_path / "input.txt"
+    if text is not None:
+        fpath.write_text(text)
+    if flag is None:
+        args = ["solve", str(tmp_path / "missing.graph")]
+    else:
+        args = ["check", str(gpath), flag, str(fpath)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and message in err
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -238,8 +262,12 @@ def test_config_file_errors_exit_2(instance_file, tmp_path, capsys, text, messag
 
 
 def test_entry_point_runs():
+    # the child process imports the package under test, wherever it lives
+    src = str(Path(stripmwis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "stripmwis.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 
@@ -261,4 +289,4 @@ def test_bench_reports_capacity_rows(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["c41.graph", "bruteforce", "", "", "", "",
-                       "capacity: oracle limited to 40 vertices, got 41"]
+                       "capacity: oracle: 41 vertices exceed MAX_LEAF_VERTICES=40"]

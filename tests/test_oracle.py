@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from stripmwis import bnb
 from stripmwis.border import brute_force_border
 from stripmwis.errors import CapacityError
 from stripmwis.graph import WeightedGraph
-from stripmwis.oracle import OracleBudget, mwis_bruteforce, verify_solution
+from stripmwis.oracle import mwis_bruteforce, verify_solution
 
 from helpers import random_graph, union_graph
 
@@ -29,9 +30,16 @@ def test_p4_weights():
 
 def test_budget_guard():
     G = WeightedGraph(range(41), [1] * 41, [])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^oracle: 41 vertices .*MAX_LEAF_VERTICES=40"):
         mwis_bruteforce(G)
-    assert mwis_bruteforce(G, OracleBudget(max_vertices=41))[0] == 41
+
+
+def test_node_budget_guard(monkeypatch):
+    # a 5-cycle has no isolated vertex, so the search must branch
+    monkeypatch.setattr(bnb, "MAX_NODES", 1)
+    G = WeightedGraph(range(5), [1] * 5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(CapacityError, match=r"^bnb: .*MAX_NODES=1"):
+        mwis_bruteforce(G)
 
 
 def test_doubling_and_additivity():

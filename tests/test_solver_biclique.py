@@ -8,7 +8,8 @@ from stripmwis.errors import CapacityError, InputError
 from stripmwis.generate import generate_random_instance
 from stripmwis.graph import WeightedGraph
 from stripmwis.oracle import mwis_bruteforce
-from stripmwis.patterns import contains_biclique_subgraph, find_induced_sttt
+from stripmwis.patterns import (contains_biclique_subgraph, find_induced_sttt,
+                                witness_violations)
 from stripmwis.solver_biclique import (BicliqueSolverConfig, choose_sink_node,
                                        mwis_biclique, solve_biclique)
 from stripmwis.trace import BranchRecord
@@ -153,6 +154,17 @@ def test_witness_propagates():
     cfg = BicliqueSolverConfig(t=2, k=2, leaf_cap_override=8)
     res = solve_biclique(big, frozenset(), cfg)
     assert res.found_witness
+
+
+def test_claw_through_the_high_degree_vertices_is_found():
+    # S_{2,2,2} plus two pendant leaves on its centre: the centre is the
+    # bag's one high-degree vertex, so every claw meets Q and none is
+    # left in G - Q; the search of the whole input still finds it
+    edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (0, 8)]
+    G = WeightedGraph(range(9), [1] * 9, edges)
+    res = solve_biclique(G, frozenset(), BicliqueSolverConfig(t=2, k=2, leaf_cap_override=8))
+    assert res.found_witness
+    assert witness_violations(G, res.witness) == []
 
 
 def test_deterministic_output():

@@ -13,12 +13,13 @@ from stripmwis.matching import AuxGraph, max_weight_matching
 from stripmwis.oracle import mwis_bruteforce
 import stripmwis.border as border
 import stripmwis.solver_degree as solver_degree
+from stripmwis.solver_biclique import BicliqueSolverConfig, mwis_biclique
 from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis,
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import (count_calls, cycle_mwis, random_graph, union_graph,
-                     weighted_cycle)
+from helpers import (count_calls, cycle_mwis, hub_caterpillar, random_graph,
+                     union_graph, weighted_cycle)
 
 
 def test_compute_ell_examples():
@@ -78,10 +79,10 @@ def test_patterns_with_edges_go_through_the_combination_step(monkeypatch, seed):
         {(min(lab), max(lab)): ({lab},) * 3 for lab in L.labels})
     decompose = solver_degree.decompose
 
-    def canonical_at_root(G, U, t, budget):
+    def canonical_at_root(G, U, t):
         if G is L:
             return DecomposeOutcome(paths=(), esd=D)
-        return decompose(G, U, t, budget)
+        return decompose(G, U, t)
 
     monkeypatch.setattr(solver_degree, "decompose", canonical_at_root)
     calls = count_calls(monkeypatch, solver_degree, "combine_esd")
@@ -123,6 +124,24 @@ def test_witness_path_on_claw_containing_graph():
     assert res.found_witness
     from stripmwis.patterns import witness_violations
     assert witness_violations(big, res.witness) == []
+
+
+@pytest.mark.parametrize("solver", ["degree", "biclique"])
+@pytest.mark.parametrize("leaf_cap", [None, 12])
+def test_claw_search_runs_once_per_solve(monkeypatch, solver, leaf_cap):
+    # every decomposed graph is an induced subgraph of the input, so the
+    # input is searched once, and not at all when the root is a leaf
+    calls = count_calls(monkeypatch, solver_degree, "find_induced_sttt")
+    if solver == "degree":
+        G = generate_random_instance(34, 3, 2, 0)
+        value, _, trace = mwis(G, DegreeSolverConfig(t=2, leaf_cap_override=leaf_cap))
+    else:
+        G = hub_caterpillar(random.Random(0), 36, hubs=3, hub_legs=6)
+        value, _, trace = mwis_biclique(
+            G, BicliqueSolverConfig(t=2, k=2, leaf_cap_override=leaf_cap))
+    assert value == mwis_bruteforce(G)[0]
+    assert (trace.call_count > 1) == (leaf_cap is not None)
+    assert len(calls) == (0 if leaf_cap is None else 1)
 
 
 def test_trace_line_format():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from stripmwis.errors import InputError
+import stripmwis.treedec as treedec
+from stripmwis.errors import CapacityError, InputError
 from stripmwis.graph import WeightedGraph
 from stripmwis.treedec import (TreeDecomposition, build_weissauer,
                                check_weissauer, high_degree_threshold,
@@ -105,6 +106,14 @@ def test_build_on_windmills_passes_validators():
         td = build_weissauer(G, 2)
         assert validate_tree_decomposition(G, td) == []
         assert check_weissauer(G, td, 2) == []
+
+
+def test_split_budget_guard(monkeypatch):
+    # four hubs of degree above 2k(k-1) = 4 are too many for one bag at k=2
+    monkeypatch.setattr(treedec, "MAX_SPLITS", 0)
+    G = hub_caterpillar(random.Random(5), 30, hubs=4, hub_legs=7)
+    with pytest.raises(CapacityError, match=r"^treedec: MAX_SPLITS=0 "):
+        build_weissauer(G, 2)
 
 
 def test_build_requires_k_at_least_two():
