@@ -9,7 +9,7 @@ from .errors import (CapacityError, ContractViolation, GenerationError,
                      InputError, InvariantError, ParseError, ToolkitError)
 from .esd import (ExtendedStripDecomposition, Particle, check_pattern_degree,
                   components_esd, occurrence_bound, particles, restrict_esd,
-                  trivial_esd, validate_esd)
+                  validate_esd)
 from .fileio import read_graph, write_graph
 from .generate import generate_random_instance, generate_subdivided_claw
 from .graph import WeightedGraph, line_graph

@@ -170,19 +170,20 @@ def _slack(e):
 @dataclass
 class CombinationPlan:
     """Everything needed to evaluate and reconstruct one terminal subset:
-    the forced pattern vertices with their enforcers, the base particle
-    family with its weight, and the auxiliary matching graph."""
+    the base particle family with its weight, the auxiliary matching
+    graph, and the swap of every auxiliary edge.  A swap is the pair
+    (add, remove) of particle keys that matching the edge puts into and
+    takes out of the base family; the edge weighs the value of add less
+    the value of remove."""
 
     trace: frozenset
-    forced: dict
     base_particles: set
     base_weight: int
     aux: AuxGraph
     terminal_set: frozenset
-    particle_values: dict = field(repr=False, default_factory=dict)
+    swaps: dict = field(repr=False, default_factory=dict)
     particle_witnesses: dict | None = field(repr=False, default=None)
     host: WeightedGraph = field(repr=False, default=None)
-    decomposition: ExtendedStripDecomposition = field(repr=False, default=None)
 
 
 def _particle_key(p: Particle):
@@ -200,10 +201,9 @@ def build_combination_plan(G: WeightedGraph, D: ExtendedStripDecomposition,
     for that cell.
     """
     trace = frozenset(trace)
-    parts = particles(D)
     values = {}
     wits = None if witness_of is None else {}
-    for p in parts:
+    for p in particles(D):
         val = profile_of(p)
         if val is None:
             raise InvariantError(
@@ -224,91 +224,66 @@ def build_combination_plan(G: WeightedGraph, D: ExtendedStripDecomposition,
                         f"pattern vertex {x} has two enforcers; trace not independent?")
                 forced[x] = e
 
-    chosen = set()
-    aux = AuxGraph()
-
-    def a(kind, anchor):
-        return values[(kind, anchor)]
-
-    for x in D.pattern_vertices:
-        if x not in forced:
-            chosen.add((VERTEX, (x,)))
+    chosen = {(VERTEX, (x,)) for x in D.pattern_vertices if x not in forced}
     for tr in D.triangles():
         x, y, z = tr
-        sides = ((x, y), (x, z), (y, z))
-        if not any(forced.get(u) == e and forced.get(v) == e for e in sides for (u, v) in (e,)):
+        if not any(forced.get(a) == forced.get(b) == (a, b)
+                   for a, b in ((x, y), (x, z), (y, z))):
             chosen.add((TRIANGLE, tr))
+    aux = AuxGraph()
+    swaps = {}
+
+    def swap(u, v, add, remove):
+        aux.add_edge(u, v, sum(map(values.__getitem__, add))
+                     - sum(map(values.__getitem__, remove)))
+        swaps[frozenset((u, v))] = (add, remove)
 
     for e in D.pattern_edges:
-        x, y = e
-        tri_sum = sum(a(TRIANGLE, tr) for tr in D.triangles() if x in tr and y in tr)
-        fx, fy = x in forced, y in forced
-        te = _slack(e)
-        if not fx and not fy:
-            aux.add_edge(te, _pv(x), a(HALF_EDGE, (e, x)) - a(EDGE_INTERIOR, e) - a(VERTEX, (x,)))
-            aux.add_edge(te, _pv(y), a(HALF_EDGE, (e, y)) - a(EDGE_INTERIOR, e) - a(VERTEX, (y,)))
-            aux.add_edge(_pv(x), _pv(y), a(FULL_EDGE, e) - a(EDGE_INTERIOR, e)
-                         - a(VERTEX, (x,)) - a(VERTEX, (y,)) - tri_sum)
-            chosen.add((EDGE_INTERIOR, e))
-        elif fx != fy:
-            f, u = (x, y) if fx else (y, x)
-            if forced[f] == e:
-                aux.add_edge(_pv(x), _pv(y), a(FULL_EDGE, e) - a(HALF_EDGE, (e, f))
-                             - a(VERTEX, (u,)) - tri_sum)
-                chosen.add((HALF_EDGE, (e, f)))
-            else:
-                aux.add_edge(te, _pv(u), a(HALF_EDGE, (e, u)) - a(EDGE_INTERIOR, e)
-                             - a(VERTEX, (u,)))
-                chosen.add((EDGE_INTERIOR, e))
+        # The ends that e forces, and the ends that nothing forces.
+        by_e, free = [], []
+        for x in e:
+            f = forced.get(x)
+            if f is None:
+                free.append(x)
+            elif f == e:
+                by_e.append(x)
+        if len(by_e) == 2:
+            base = (FULL_EDGE, e)
+        elif by_e:
+            base = (HALF_EDGE, (e, by_e[0]))
         else:
-            ex, ey = forced[x] == e, forced[y] == e
-            if not ex and not ey:
-                chosen.add((EDGE_INTERIOR, e))
-            elif ex and not ey:
-                chosen.add((HALF_EDGE, (e, x)))
-            elif ey and not ex:
-                chosen.add((HALF_EDGE, (e, y)))
-            else:
-                chosen.add((FULL_EDGE, e))
+            base = (EDGE_INTERIOR, e)
+        chosen.add(base)
+        if not by_e:
+            for x in free:
+                swap(_slack(e), _pv(x), [(HALF_EDGE, (e, x))], [base, (VERTEX, (x,))])
+        if free and len(free) + len(by_e) == 2:
+            swap(_pv(e[0]), _pv(e[1]), [(FULL_EDGE, e)],
+                 [base] + [(VERTEX, (x,)) for x in free]
+                 + [(TRIANGLE, tr) for tr in D.triangles() if e[0] in tr and e[1] in tr])
 
-    base_weight = sum(values[k] for k in chosen)
     return CombinationPlan(
-        trace=trace, forced=forced, base_particles=chosen, base_weight=base_weight,
+        trace=trace, base_particles=chosen, base_weight=sum(values[k] for k in chosen),
         aux=aux, terminal_set=frozenset(terminal_set) if terminal_set is not None else trace,
-        particle_values=values, particle_witnesses=wits,
-        host=G, decomposition=D)
+        swaps=swaps, particle_witnesses=wits, host=G)
 
 
 def reconstruct_witness(plan: CombinationPlan, matching) -> frozenset:
     """Turn a matching of the auxiliary graph into an independent set.
 
-    Applies the insert/remove rules edge by edge to the base particle
-    family and unions the particle witnesses; the result is re-verified:
-    independent, meeting the terminals exactly in the trace, and weighing
-    at least base_weight plus the matching weight."""
+    Applies the swap of every matched edge to the base particle family
+    (the swaps of a matching are disjoint, since two auxiliary edges that
+    touch one particle share a node) and unions the particle witnesses;
+    the result is re-verified: independent, meeting the terminals exactly
+    in the trace, and weighing at least base_weight plus the matching
+    weight."""
     if plan.particle_witnesses is None:
         raise ContractViolation("plan was built without particle witnesses")
-    D = plan.decomposition
     pm = set(plan.base_particles)
     for medge in matching:
-        u, v = tuple(medge)
-        if u[0] == "slack" or v[0] == "slack":
-            te, endnode = (u, v) if u[0] == "slack" else (v, u)
-            e = te[1]
-            end = endnode[1]
-            pm.add((HALF_EDGE, (e, end)))
-            pm.discard((EDGE_INTERIOR, e))
-            pm.discard((VERTEX, (end,)))
-        else:
-            x, y = u[1], v[1]
-            e = (min(x, y), max(x, y))
-            pm.add((FULL_EDGE, e))
-            for key in ((HALF_EDGE, (e, e[0])), (HALF_EDGE, (e, e[1])),
-                        (EDGE_INTERIOR, e), (VERTEX, (e[0],)), (VERTEX, (e[1],))):
-                pm.discard(key)
-            for tr in D.triangles():
-                if e[0] in tr and e[1] in tr:
-                    pm.discard((TRIANGLE, tr))
+        add, remove = plan.swaps[frozenset(medge)]
+        pm.difference_update(remove)
+        pm.update(add)
 
     out = set()
     for key in pm:

@@ -171,15 +171,17 @@ def _fmt_witness(witness) -> str:
     return " ".join(str(v) for v in sort_labels(witness))
 
 
+def _pick_algo(G, algo):
+    if algo != "auto":
+        return algo
+    if G.n <= MAX_LEAF_VERTICES:
+        return "bruteforce"
+    return "degree" if G.max_degree() <= 6 else "biclique"
+
+
 def _run_algo(G, algo, args):
     """Returns (value, witness, trace, algo_used)."""
-    if algo == "auto":
-        if G.n <= MAX_LEAF_VERTICES:
-            algo = "bruteforce"
-        elif G.max_degree() <= 6:
-            algo = "degree"
-        else:
-            algo = "biclique"
+    algo = _pick_algo(G, algo)
     if algo == "bruteforce":
         value, witness = mwis_bruteforce(G)
         return value, witness, None, algo
@@ -216,26 +218,40 @@ class _WitnessFound(Exception):
         self.witness = witness
 
 
+def _print_claw(w):
+    print(f"witness center {w.center}")
+    for leg in w.legs:
+        print("witness leg " + " ".join(str(v) for v in leg))
+
+
+def _claw_found(G, t) -> bool:
+    w = find_induced_sttt(G, t)
+    if w is None:
+        return False
+    _print_claw(w)
+    print("status claw-found", file=sys.stderr)
+    return True
+
+
 def cmd_solve(args) -> int:
     G = _load_graph(args.graph)
-    if args.assert_free:
-        w = find_induced_sttt(G, args.t)
-        if w is not None:
-            print(f"witness center {w.center}")
-            for leg in w.legs:
-                print("witness leg " + " ".join(str(v) for v in leg))
-            print("status claw-found", file=sys.stderr)
-            return EXIT_WITNESS
+    algo = _pick_algo(G, args.algo)
+    # The recursive solvers search for the claw themselves unless the root
+    # is a leaf; bruteforce never searches, and a claw beats its capacity
+    # exit, so it is searched for first.
+    if args.assert_free and algo == "bruteforce" and _claw_found(G, args.t):
+        return EXIT_WITNESS
     start = time.perf_counter()
     try:
-        value, witness, trace, algo = _run_algo(G, args.algo, args)
+        value, witness, trace, algo = _run_algo(G, algo, args)
     except _WitnessFound as wf:
-        w = wf.witness
-        print(f"witness center {w.center}")
-        for leg in w.legs:
-            print("witness leg " + " ".join(str(v) for v in leg))
+        _print_claw(wf.witness)
         return EXIT_WITNESS if args.assert_free else EXIT_OK
     ms = (time.perf_counter() - start) * 1000.0
+    # A root leaf's trace is its one leaf record.
+    root_leaf = trace is not None and trace.call_count == trace.leaf_count == 1
+    if args.assert_free and root_leaf and _claw_found(G, args.t):
+        return EXIT_WITNESS
     print(f"value {value}")
     if args.witness and witness is not None:
         print(f"witness {_fmt_witness(witness)}")

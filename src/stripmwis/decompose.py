@@ -11,12 +11,13 @@ search the input once at the root.
 
 The reference implementation searches, by iterative deepening over the
 size of X = union(P), for a vertex set whose closed-neighborhood removal
-splits the graph into components that are each light in U; the component
-decomposition (one isolated pattern vertex per component) is then always
-rigid and valid.  It gives up with a CapacityError beyond MAX_UNION_SIZE
-vertices in X or MAX_CANDIDATES candidate sets.  Any implementation is
-accepted as long as its outcomes pass `validate_outcome`, which the
-solvers run on every outcome.
+splits the graph into components that are each light in U, and returns X
+as |X| one-vertex paths; the component decomposition (one isolated
+pattern vertex per component) is then always rigid and valid.  It gives
+up with a CapacityError beyond MAX_UNION_SIZE vertices in X or
+MAX_CANDIDATES candidate sets.  Any implementation is accepted as long
+as its outcomes pass `validate_outcome`, which the solvers run on every
+outcome.
 """
 
 from __future__ import annotations
@@ -87,13 +88,14 @@ def validate_outcome(G: WeightedGraph, U, t: int, outcome: DecomposeOutcome) -> 
     return report
 
 
-def decompose(G: WeightedGraph, U, t: int) -> DecomposeOutcome:
+def decompose(G: WeightedGraph, U) -> DecomposeOutcome:
     """Reference decomposition search.
 
     Enumerates candidate sets X in order of increasing size (then
-    lexicographic by vertex id), accepting the first X that is a disjoint
-    union of short induced paths and whose closed-neighborhood removal
-    leaves only U-balanced components.
+    lexicographic by vertex id) and accepts the first whose
+    closed-neighborhood removal leaves only U-balanced components.  X is
+    returned as |X| one-vertex paths, which the contract allows for any t
+    since |X| <= MAX_UNION_SIZE <= path_count_cap(n).
     """
     uset = frozenset(U)
     if not uset <= G.label_set:
@@ -103,8 +105,6 @@ def decompose(G: WeightedGraph, U, t: int) -> DecomposeOutcome:
     full = (1 << n) - 1
     umask = G.mask_of_labels(uset)
     cap = math.ceil(len(uset) / 2)
-    pathcap = path_count_cap(n)
-    maxlen = t + 2
 
     best_imbalance = None
     examined = 0
@@ -118,9 +118,6 @@ def decompose(G: WeightedGraph, U, t: int) -> DecomposeOutcome:
             xmask = 0
             for v in combo:
                 xmask |= 1 << v
-            paths = _paths_of(G, adjm, xmask, pathcap, maxlen)
-            if paths is None:
-                continue
             alive = full & ~(xmask | neighborhood_mask(adjm, xmask))
             comps = components_masks(adjm, alive)
             worst = max(((c & umask).bit_count() for c in comps), default=0)
@@ -128,50 +125,11 @@ def decompose(G: WeightedGraph, U, t: int) -> DecomposeOutcome:
                 best_imbalance = worst
             if worst <= cap:
                 esd = components_esd([G.labels_of_mask(c) for c in comps])
-                return DecomposeOutcome(paths=tuple(paths), esd=esd)
+                return DecomposeOutcome(paths=tuple((G.label_of(v),) for v in combo),
+                                        esd=esd)
     raise CapacityError(
         f"decompose: no decomposition with |X| <= MAX_UNION_SIZE={MAX_UNION_SIZE}; "
         f"best imbalance achieved: {best_imbalance}")
-
-
-def _paths_of(G, adjm, xmask, pathcap, maxlen):
-    """Decompose G[X] into components; each must be an induced path on at
-    most `maxlen` vertices.  Returns label tuples or None."""
-    comps = components_masks(adjm, xmask)
-    if len(comps) > pathcap:
-        return None
-    paths = []
-    for comp in comps:
-        size = comp.bit_count()
-        if size > maxlen:
-            return None
-        verts = []
-        m = comp
-        while m:
-            b = m & -m
-            verts.append(b.bit_length() - 1)
-            m ^= b
-        degs = {v: (adjm[v] & comp).bit_count() for v in verts}
-        if any(d > 2 for d in degs.values()):
-            return None
-        ends = [v for v in verts if degs[v] <= 1]
-        if size == 1:
-            paths.append((G.label_of(verts[0]),))
-            continue
-        if len(ends) != 2:
-            return None  # a cycle
-        seq = [ends[0]]
-        seen = 1 << ends[0]
-        while len(seq) < size:
-            nxt = adjm[seq[-1]] & comp & ~seen
-            if not nxt:
-                return None
-            b = nxt & -nxt
-            v = b.bit_length() - 1
-            seq.append(v)
-            seen |= b
-        paths.append(tuple(G.label_of(v) for v in seq))
-    return paths
 
 
 def outcome_to_text(outcome: DecomposeOutcome) -> str:

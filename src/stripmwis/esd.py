@@ -282,11 +282,6 @@ def occurrence_bound(D: ExtendedStripDecomposition) -> int:
     return max(counts.values(), default=0)
 
 
-def trivial_esd(G: WeightedGraph) -> ExtendedStripDecomposition:
-    """Single isolated pattern vertex holding all of V(G)."""
-    return ExtendedStripDecomposition((0,), (), {0: G.label_set}, {})
-
-
 def components_esd(component_label_sets) -> ExtendedStripDecomposition:
     """One isolated pattern vertex per connected component; rigid whenever
     every component is nonempty, and the empty pattern for the empty graph."""

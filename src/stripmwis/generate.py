@@ -119,8 +119,7 @@ def _base_edges(rng, n, max_degree, t):
     return sorted(edges)
 
 
-def generate_random_instance(n: int, max_degree: int, t: int, seed,
-                             max_repairs: int | None = None) -> WeightedGraph:
+def generate_random_instance(n: int, max_degree: int, t: int, seed) -> WeightedGraph:
     """Random graph with maximum degree <= max_degree and no induced
     subdivided claw with three legs of t edges, verified by the exact
     detector.  Weights are uniform in [1, 100]; deterministic per seed.
@@ -142,9 +141,8 @@ def generate_random_instance(n: int, max_degree: int, t: int, seed,
     edges = {(min(u, v), max(u, v)) for u, v in _base_edges(rng, n, max_degree, t)}
     G = WeightedGraph(labels, weights, sorted(edges))
 
-    cap = max_repairs if max_repairs is not None else 4 * n + 16
     repairs = 0
-    while repairs <= cap:
+    while repairs <= 4 * n + 16:
         witness = find_induced_sttt(G, t)
         if witness is None:
             break

@@ -57,7 +57,6 @@ class BagContext:
     node: int
     bag: frozenset
     components: list          # (component labels, neighborhood labels) pairs
-    gb_degree: dict           # degree in G^B (bag graph + component cliques)
     q: tuple                  # high-degree vertices, sorted
 
 
@@ -96,12 +95,11 @@ def choose_sink_node(Gp: WeightedGraph, td: TreeDecomposition, U, k: int) -> Bag
             for b in nc:
                 if a != b:
                     gb_adj[a].add(b)
-    degrees = {v: len(s) for v, s in gb_adj.items()}
     thr = high_degree_threshold(k)
-    q = tuple(sorted((v for v, d in degrees.items() if d > thr), key=repr))
+    q = tuple(sorted((v for v, s in gb_adj.items() if len(s) > thr), key=repr))
     if len(q) > k:
         raise InvariantError(f"{len(q)} high-degree bag vertices exceed k={k}")
-    return BagContext(node=node, bag=bag, components=comps, gb_degree=degrees, q=q)
+    return BagContext(node=node, bag=bag, components=comps, q=q)
 
 
 def classify_components(Gp: WeightedGraph, GJ: WeightedGraph, ctx: BagContext,

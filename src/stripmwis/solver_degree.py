@@ -157,7 +157,7 @@ class Recursion:
         raise NotImplementedError
 
     def decompose(self, G: WeightedGraph, U):
-        outcome = decompose(G, U, self.cfg.t)
+        outcome = decompose(G, U)
         report = validate_outcome(G, U, self.cfg.t, outcome)
         if report:
             raise InvariantError("decomposition failed validation: " + "; ".join(report))

@@ -14,8 +14,8 @@ import pytest
 from stripmwis.border import brute_force_border, combine_esd
 from stripmwis.decompose import decompose, validate_outcome
 from stripmwis.errors import CapacityError
-from stripmwis.esd import (check_pattern_degree, occurrence_bound, particles,
-                           trivial_esd, validate_esd)
+from stripmwis.esd import (check_pattern_degree, components_esd, occurrence_bound,
+                           particles, validate_esd)
 from stripmwis.generate import generate_random_instance
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, matching_bruteforce, max_weight_matching
@@ -146,7 +146,7 @@ def test_criterion_1_combination_oracle_equivalence():
 def _hand_fixtures():
     from stripmwis.esd import ExtendedStripDecomposition
     G1 = WeightedGraph(range(6), [3, 1, 4, 1, 5, 9], [(0, 1), (1, 2), (3, 4)])
-    yield G1, trivial_esd(G1)
+    yield G1, components_esd([G1.label_set])
     G2 = WeightedGraph(["u", "v"], [2, 3], [("u", "v")])
     yield G2, ExtendedStripDecomposition(
         (0, 1), [(0, 1)], {0: set(), 1: set()},
@@ -251,7 +251,7 @@ def test_criterion_6_structural_invariants(degree_corpus, biclique_corpus):
     checks = 0
     for seed in range(30):
         G = generate_random_instance(30 + seed % 8, 3, 2, 5000 + seed)
-        out = decompose(G, G.label_set, 2)
+        out = decompose(G, G.label_set)
         assert validate_outcome(G, G.label_set, 2, out) == []
         D = out.esd
         rest = G.subgraph(G.label_set - G.closed_neighborhood(out.removed_set()))

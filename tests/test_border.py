@@ -7,7 +7,7 @@ from stripmwis.border import (BorderProfile, brute_force_border,
                               reconstruct_witness)
 from stripmwis.bnb import iter_independent_sets
 from stripmwis.errors import CapacityError, ContractViolation
-from stripmwis.esd import (ExtendedStripDecomposition, particles, trivial_esd,
+from stripmwis.esd import (ExtendedStripDecomposition, components_esd, particles,
                            validate_esd)
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, matching_bruteforce, max_weight_matching
@@ -73,7 +73,7 @@ def test_combine_trivial_esd_passthrough():
     rng = random.Random(5)
     for _ in range(10):
         G = random_graph(rng, rng.randint(1, 9), 0.35)
-        D = trivial_esd(G)
+        D = components_esd([G.label_set])
         T = frozenset(rng.sample(list(G.labels), min(G.n, 3)))
         profs = particle_profiles(G, D, T)
         combined = combine_esd(G, T, D, profs)
@@ -98,7 +98,7 @@ def test_combine_single_edge_case_one():
 
 def test_missing_profile_is_contract_violation():
     G = WeightedGraph(["u", "v"], [2, 3], [("u", "v")])
-    D = trivial_esd(G)
+    D = components_esd([G.label_set])
     with pytest.raises(ContractViolation):
         combine_esd(G, set(), D, {})
 

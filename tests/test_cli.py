@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import stripmwis
+from stripmwis import cli, solver_degree
 from stripmwis.cli import main
 from stripmwis.fileio import read_graph, write_graph
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 
-from helpers import cycle_mwis, weighted_cycle
+from helpers import count_calls, cycle_mwis, weighted_cycle
 
 
 def run_cli(args, capsys):
@@ -66,11 +67,31 @@ def test_assert_free_exit_code(tmp_path, capsys):
     g = generate_subdivided_claw(2, 2, 2)
     path = tmp_path / "s.graph"
     path.write_text(write_graph(g))
-    code, out, _ = run_cli(["solve", str(path), "--assert-free", "--t", "2"], capsys)
-    assert code == 3
-    assert "witness center" in out
+    # bruteforce (auto here) and a root leaf make no search of their own;
+    # the last run recurses and finds the claw in the solver
+    for flags in ([], ["--algo", "degree"], ["--algo", "degree", "--leaf-cap", "4"]):
+        code, out, _ = run_cli(["solve", str(path), "--assert-free", "--t", "2"] + flags,
+                               capsys)
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0].startswith("witness center ") and len(lines) == 4
+        assert all(l.startswith("witness leg ") for l in lines[1:])
     code2, _, _ = run_cli(["solve", str(path), "--t", "2"], capsys)
     assert code2 == 0
+
+
+@pytest.mark.parametrize("algo", ["auto", "degree", "biclique"])
+def test_assert_free_searches_once(tmp_path, capsys, monkeypatch, algo):
+    # a recursive run searches for the claw itself, so the CLI does not
+    G = weighted_cycle(random.Random(0), 41)
+    path = tmp_path / "c.graph"
+    path.write_text(write_graph(G))
+    searches = [count_calls(monkeypatch, module, "find_induced_sttt")
+                for module in (cli, solver_degree)]
+    code, out, _ = run_cli(["solve", str(path), "--assert-free", "--algo", algo,
+                            "--k", "2"], capsys)
+    assert code == 0 and out == f"value {cycle_mwis(G.weights)}\n"
+    assert sum(map(len, searches)) == 1
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -145,7 +166,7 @@ def test_gen_deterministic(tmp_path, capsys):
 
 def test_check_verbs(tmp_path, capsys):
     from stripmwis.decompose import decompose, outcome_to_text
-    from stripmwis.esd import esd_to_text, trivial_esd
+    from stripmwis.esd import components_esd, esd_to_text
     from stripmwis.treedec import TreeDecomposition, td_to_text
 
     G = generate_random_instance(16, 3, 2, 7)
@@ -153,9 +174,9 @@ def test_check_verbs(tmp_path, capsys):
     gpath.write_text(write_graph(G))
     G = read_graph(gpath.read_text())  # canonical 1-based labels
 
-    (tmp_path / "t.esd").write_text(esd_to_text(trivial_esd(G)))
+    (tmp_path / "t.esd").write_text(esd_to_text(components_esd([G.label_set])))
     (tmp_path / "t.td").write_text(td_to_text(TreeDecomposition({0: G.label_set}, [])))
-    (tmp_path / "o.dec").write_text(outcome_to_text(decompose(G, G.label_set, 2)))
+    (tmp_path / "o.dec").write_text(outcome_to_text(decompose(G, G.label_set)))
 
     code, out, _ = run_cli(["check", str(gpath), "--esd", str(tmp_path / "t.esd"),
                             "--td", str(tmp_path / "t.td"), "--weissauer", "3",
@@ -163,8 +184,8 @@ def test_check_verbs(tmp_path, capsys):
     assert code == 0 and out.count("OK") == 3
 
     # break the esd: drop vertex 1 from the only eta list
-    broken = esd_to_text(trivial_esd(G)).replace(": 1 ", ": ", 1)
-    assert broken != esd_to_text(trivial_esd(G))
+    broken = esd_to_text(components_esd([G.label_set])).replace(": 1 ", ": ", 1)
+    assert broken != esd_to_text(components_esd([G.label_set]))
     (tmp_path / "bad.esd").write_text(broken)
     code, out, _ = run_cli(["check", str(gpath), "--esd", str(tmp_path / "bad.esd")],
                            capsys)

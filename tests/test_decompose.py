@@ -22,7 +22,7 @@ def cycle(n):
 
 def test_balanced_components_need_no_removal():
     G = WeightedGraph(range(6), [1] * 6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    out = decompose(G, G.label_set, 2)
+    out = decompose(G, G.label_set)
     assert out.paths == ()
     assert validate_outcome(G, G.label_set, 2, out) == []
     assert len(out.esd.pattern_vertices) == 2
@@ -30,7 +30,7 @@ def test_balanced_components_need_no_removal():
 
 def test_p9_splits_with_one_vertex():
     G = path(9)
-    out = decompose(G, G.label_set, 2)
+    out = decompose(G, G.label_set)
     assert len(out.paths) == 1 and len(out.paths[0]) == 1
     assert validate_outcome(G, G.label_set, 2, out) == []
     cap = math.ceil(G.n / 2)
@@ -40,7 +40,7 @@ def test_p9_splits_with_one_vertex():
 
 def test_long_cycle_needs_two_removals():
     G = cycle(20)
-    out = decompose(G, G.label_set, 2)
+    out = decompose(G, G.label_set)
     assert sum(len(p) for p in out.paths) == 2
     assert validate_outcome(G, G.label_set, 2, out) == []
 
@@ -49,7 +49,7 @@ def test_bounded_degree_two_instances_always_succeed():
     rng = random.Random(3)
     for seed in range(15):
         G = generate_random_instance(rng.randint(5, 30), 2, 1, seed)
-        out = decompose(G, G.label_set, 1)
+        out = decompose(G, G.label_set)
         assert validate_outcome(G, G.label_set, 1, out) == []
         assert sum(len(p) for p in out.paths) <= 2 * len(G.components())
 
@@ -58,13 +58,13 @@ def test_balance_respects_u_not_just_v():
     # all the U-mass sits on one side; splitting must balance U
     G = path(12)
     U = {1, 2, 3, 4}
-    out = decompose(G, U, 2)
+    out = decompose(G, U)
     assert validate_outcome(G, U, 2, out) == []
 
 
 def test_validator_flags_violations():
     G = path(9)
-    out = decompose(G, G.label_set, 2)
+    out = decompose(G, G.label_set)
     # balance violation: pretend U is concentrated inside one particle
     big = max(particles(out.esd), key=lambda p: len(p.members))
     report = validate_outcome(G, big.members, 2, out)
@@ -89,20 +89,31 @@ def test_budget_exhaustion_raises_capacity(monkeypatch):
     K = WeightedGraph(range(8), [1] * 8,
                       [(i, j) for i in range(8) for j in range(i + 1, 8)])
     with pytest.raises(CapacityError, match=r"^decompose: .*MAX_UNION_SIZE=0"):
-        decompose(K, K.label_set, 3)
+        decompose(K, K.label_set)
 
 
 def test_deterministic():
     G = generate_random_instance(24, 3, 2, 9)
-    a = decompose(G, G.label_set, 2)
-    b = decompose(G, G.label_set, 2)
+    a = decompose(G, G.label_set)
+    b = decompose(G, G.label_set)
     assert a.paths == b.paths
+    assert a.paths and all(len(p) == 1 for p in a.paths)
     assert esd_to_text(a.esd) == esd_to_text(b.esd)
+
+
+def test_removed_set_is_returned_as_one_vertex_paths():
+    # the first balanced X is the edge 01; it comes back as two one-vertex
+    # paths, a family the contract allows as well as the path (0, 1)
+    G = WeightedGraph(range(8), [1] * 8, [(0, 1), (0, 7), (1, 2), (2, 5), (3, 6),
+                                          (3, 7), (4, 5), (4, 6)])
+    out = decompose(G, G.label_set)
+    assert out.paths == ((0,), (1,))
+    assert validate_outcome(G, G.label_set, 2, out) == []
 
 
 def test_outcome_text_round_trip():
     G = path(9)
-    out = decompose(G, G.label_set, 2)
+    out = decompose(G, G.label_set)
     text = outcome_to_text(out)
     back = outcome_from_text(text)
     assert back.paths == out.paths
@@ -111,6 +122,6 @@ def test_outcome_text_round_trip():
 
 def test_empty_graph():
     G = WeightedGraph([], [], [])
-    out = decompose(G, set(), 2)
+    out = decompose(G, set())
     assert out.paths == ()
     assert validate_outcome(G, set(), 2, out) == []

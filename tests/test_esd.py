@@ -7,7 +7,7 @@ from stripmwis.esd import (EDGE_INTERIOR, FULL_EDGE, HALF_EDGE, TRIANGLE,
                            VERTEX, ExtendedStripDecomposition, check_pattern_degree,
                            components_esd, esd_from_text, esd_to_text,
                            occurrence_bound, particles, restrict_esd,
-                           trivial_esd, validate_esd)
+                           validate_esd)
 from stripmwis.graph import WeightedGraph
 
 from helpers import random_esd_instance
@@ -23,7 +23,7 @@ def single_edge_fixture():
 
 def test_trivial_esd_valid_and_rigid():
     G = WeightedGraph(range(4), [1] * 4, [(0, 1), (2, 3)])
-    D = trivial_esd(G)
+    D = components_esd([G.label_set])
     assert validate_esd(G, D, require_rigid=True) == []
     ps = particles(D)
     assert len(ps) == 1 and ps[0].kind == VERTEX and ps[0].members == G.label_set
@@ -102,7 +102,7 @@ def test_restrict_identity_and_subset():
 
 def test_restrict_trivial():
     G = WeightedGraph(range(4), [1] * 4, [(0, 1), (2, 3)])
-    D = trivial_esd(G)
+    D = components_esd([G.label_set])
     sub = G.subgraph({0, 1})
     R = restrict_esd(D, sub)
     assert R.eta_vertex(0) == {0, 1}

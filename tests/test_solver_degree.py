@@ -79,10 +79,10 @@ def test_patterns_with_edges_go_through_the_combination_step(monkeypatch, seed):
         {(min(lab), max(lab)): ({lab},) * 3 for lab in L.labels})
     decompose = solver_degree.decompose
 
-    def canonical_at_root(G, U, t):
+    def canonical_at_root(G, U):
         if G is L:
             return DecomposeOutcome(paths=(), esd=D)
-        return decompose(G, U, t)
+        return decompose(G, U)
 
     monkeypatch.setattr(solver_degree, "decompose", canonical_at_root)
     calls = count_calls(monkeypatch, solver_degree, "combine_esd")
