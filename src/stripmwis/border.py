@@ -96,28 +96,10 @@ class BorderProfile:
                 out.append(f"cell {mask:b}: non-independent subset valued {val}")
         return out
 
-    def dump(self) -> str:
-        lines = [f"{mask} {'-inf' if val is None else val}" for mask, val in self.cells()]
-        return "\n".join(lines) + "\n"
-
     @classmethod
-    def parse(cls, terminals, text: str) -> "BorderProfile":
-        prof = cls(terminals)
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            mask_s, val_s = line.split()
-            mask = int(mask_s)
-            if not 0 <= mask < len(prof.table):
-                raise InputError(f"profile mask {mask} out of range")
-            if val_s != "-inf":
-                prof.table[mask] = int(val_s)
-        return prof
-
-
-def _ordered_terminals(G: WeightedGraph, T) -> tuple:
-    return tuple(G.label_of(i) for i in sorted(G.ids_of(T)))
+    def of_terminals(cls, G: WeightedGraph, T, with_witnesses=False) -> "BorderProfile":
+        """An empty profile over the terminals T of G, ordered by vertex id."""
+        return cls((G.label_of(i) for i in sorted(G.ids_of(T))), with_witnesses)
 
 
 def brute_force_border(G: WeightedGraph, T, with_witnesses=False) -> BorderProfile:
@@ -126,17 +108,16 @@ def brute_force_border(G: WeightedGraph, T, with_witnesses=False) -> BorderProfi
     Enumerates independent terminal subsets and solves the residual MWIS
     for each by branch and bound; non-independent subsets keep -infinity.
     """
-    terminals = _ordered_terminals(G, T)
     if G.n > MAX_LEAF_VERTICES:
         raise CapacityError(f"border: brute-force border over {G.n} vertices exceeds "
                             f"MAX_LEAF_VERTICES={MAX_LEAF_VERTICES}")
-    if len(terminals) > MAX_LEAF_TERMINALS:
-        raise CapacityError(f"border: brute-force border over {len(terminals)} terminals "
+    if len(T) > MAX_LEAF_TERMINALS:
+        raise CapacityError(f"border: brute-force border over {len(T)} terminals "
                             f"exceeds MAX_LEAF_TERMINALS={MAX_LEAF_TERMINALS}")
-    prof = BorderProfile(terminals, with_witnesses=with_witnesses)
+    prof = BorderProfile.of_terminals(G, T, with_witnesses)
     adjm = G.adj_masks
     weights = G.weights
-    tids = [G.id_of(t) for t in terminals]
+    tids = G.ids_of(prof.terminals)
     tmask = 0
     for i in tids:
         tmask |= 1 << i
@@ -309,9 +290,8 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
     auxiliary graph's maximum matching weight added to the base weight
     gives the cell value.
     """
-    terminals = _ordered_terminals(G, T)
-    tset = frozenset(terminals)
-    prof = BorderProfile(terminals, with_witnesses=with_witnesses)
+    prof = BorderProfile.of_terminals(G, T, with_witnesses)
+    tset = frozenset(prof.terminals)
     lookup = {}
     for p in particles(D):
         q = particle_profiles.get(p)
@@ -322,7 +302,7 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
                 f"profile terminals for {p.kind}{p.anchor} do not equal T cap A")
         lookup[_particle_key(p)] = (p, q)
 
-    tids = [G.id_of(t) for t in terminals]
+    tids = G.ids_of(prof.terminals)
     conflicts = []
     for v in tids:
         c = 0

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import CapacityError, InputError, ParseError
-from .esd import (ExtendedStripDecomposition, components_esd, esd_from_text,
+from .esd import (ExtendedStripDecomposition, components_esd, esd_from_records,
                   esd_to_text, particles, validate_esd)
+from .fileio import fields, records
 from .graph import WeightedGraph, components_masks, neighborhood_mask
 
 #: Largest union X = union(P) the reference search tries.
@@ -140,29 +141,14 @@ def outcome_to_text(outcome: DecomposeOutcome) -> str:
 
 
 def outcome_from_text(text: str) -> DecomposeOutcome:
-    lines = text.splitlines()
-    paths = []
-    esd_start = None
-    count = None
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] not in ("paths", "path"):
-            esd_start = idx
-            break
-        try:
-            if parts[0] == "paths":
-                count = int(parts[1])
-            else:
-                paths.append(tuple(int(v) for v in parts[1:]))
-        except (IndexError, ValueError):
-            raise ParseError(f"malformed {parts[0]!r} line", idx + 1) from None
-    if count is None or esd_start is None:
-        raise ParseError("outcome file must list paths then a decomposition")
-    if count != len(paths):
-        raise ParseError(f"expected {count} paths, found {len(paths)}")
-    # Blank lines in place of the path lines keep the file's line numbers.
-    return DecomposeOutcome(paths=tuple(paths),
-                            esd=esd_from_text("\n" * esd_start + "\n".join(lines[esd_start:])))
+    """Parse the outcome format: 'paths <count>' first, then one line
+    'path <labels>' per path, then the decomposition in the interchange
+    format of `esd_from_records`."""
+    rows = records(text)
+    lineno, tokens = next(rows, (None, []))
+    count, = fields(lineno, tokens, "paths <count>")
+    if count < 0:
+        raise ParseError("negative path count", lineno)
+    paths = tuple(tuple(fields(lineno, tokens, "path ...")[0])
+                  for lineno, tokens in islice(rows, count))
+    return DecomposeOutcome(paths=paths, esd=esd_from_records(rows))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ContractViolation, InputError, ParseError
+from .fileio import fields, records
 from .graph import WeightedGraph
 
 VERTEX = "vertex"
@@ -40,9 +41,10 @@ class Particle:
 class ExtendedStripDecomposition:
     def __init__(self, pattern_vertices, pattern_edges, vertex_sets,
                  edge_sets, triangle_sets=None):
-        """`edge_sets` maps a sorted pattern edge (x, y) to a triple
-        (eta(xy), eta(xy,x), eta(xy,y)); missing triangle sets default to
-        the empty set."""
+        """`vertex_sets` maps pattern vertices to eta(x), and `edge_sets`
+        maps sorted pattern edges (x, y) to a triple (eta(xy), eta(xy,x),
+        eta(xy,y)); a key outside the pattern is an InputError, and missing
+        sets default to the empty set."""
         self.pattern_vertices = tuple(sorted(pattern_vertices))
         pv = set(self.pattern_vertices)
         es = set()
@@ -64,16 +66,14 @@ class ExtendedStripDecomposition:
             nbrs[x].append(y)
             nbrs[y].append(x)
         self._neighbors = {x: tuple(sorted(ys)) for x, ys in nbrs.items()}
-        es = set(self.pattern_edges)
         self._triangles = tuple((x, y, z) for x, y in self.pattern_edges
                                 for z in self._neighbors[x] if z > y and (y, z) in es)
-        self.triangle_sets = {}
-        tri = set(self._triangles)
-        for key, val in (triangle_sets or {}).items():
-            k = tuple(sorted(key))
-            if k not in tri:
-                raise InputError(f"{k} is not a triangle of the pattern")
-            self.triangle_sets[k] = frozenset(val)
+        self.triangle_sets = {tuple(sorted(k)): frozenset(s)
+                              for k, s in (triangle_sets or {}).items()}
+        stray = ((vertex_sets.keys() - pv) | (edge_sets.keys() - es)
+                 | (self.triangle_sets.keys() - set(self._triangles)))
+        if stray:
+            raise InputError(f"{min(stray, key=repr)} is not in the pattern")
         parts = [self.particle_vertex(x) for x in self.pattern_vertices]
         for e in self.pattern_edges:
             parts += (self.particle_edge_interior(e), self.particle_half_edge(e, e[0]),
@@ -312,57 +312,61 @@ def esd_to_text(D: ExtendedStripDecomposition) -> str:
 
 def esd_from_text(text: str) -> ExtendedStripDecomposition:
     """Parse the interchange format; eta entries hold integer vertex labels."""
-    nh = None
-    edges = []
-    vsets, esets, tsets = {}, {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "h":
+    return esd_from_records(records(text))
+
+
+_ETA_FORMS = {"v": "eta v <x> : ...", "e": "eta e <x> <y> : ... | ... | ...",
+              "t": "eta t <x> <y> <z> : ..."}
+
+
+def esd_from_records(rows) -> ExtendedStripDecomposition:
+    """Parse the interchange format from `fileio.records` rows.
+
+    The header 'h <nH> <mH>' comes first: the pattern vertices are
+    0..nH-1, and mH lines 'he <x> <y>' list the pattern edges.  The lines
+    'eta v <x> : <labels>', 'eta e <x> <y> : <eta(xy)> | <eta(xy,x)> |
+    <eta(xy,y)>' and 'eta t <x> <y> <z> : <labels>' give the classes; a
+    class without a line is empty.  A pattern edge or class has at most
+    one line, and an eta line follows the he lines of its pattern edges."""
+    nh = mh = None
+    edges = set()
+    sets = {"v": {}, "e": {}, "t": {}}
+    for lineno, tokens in rows:
+        kind = tokens[0]
+        if kind == "h":
             if nh is not None:
                 raise ParseError("duplicate pattern header", lineno)
-            try:
-                nh = int(parts[1])
-                int(parts[2])
-            except (IndexError, ValueError):
-                raise ParseError("header must be 'h <nH> <mH>'", lineno) from None
-        elif parts[0] == "he":
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except (IndexError, ValueError):
-                raise ParseError("pattern edge must be 'he <x> <y>'", lineno) from None
-        elif parts[0] == "eta":
-            try:
-                _parse_eta(parts, line, vsets, esets, tsets)
-            except (IndexError, ValueError):
-                raise ParseError("malformed eta line", lineno) from None
+            nh, mh = fields(lineno, tokens, "h <nH> <mH>")
+            if nh < 0 or mh < 0:
+                raise ParseError("negative counts in header", lineno)
+        elif nh is None:
+            raise ParseError("line before the 'h' header", lineno)
+        elif kind == "he":
+            x, y = fields(lineno, tokens, "he <x> <y>")
+            if (min(x, y), max(x, y)) in edges:
+                raise ParseError(f"duplicate pattern edge {x} {y}", lineno)
+            edges.add((min(x, y), max(x, y)))
+        elif kind == "eta" and tokens[1:2] and tokens[1] in _ETA_FORMS:
+            sub = tokens[1]
+            *anchor, members = fields(lineno, tokens, _ETA_FORMS[sub])
+            if sub == "e":
+                x, y, full, end_x = anchor
+                members = (full, end_x, members) if x < y else (full, members, end_x)
+                anchor = [x, y]
+            key = anchor[0] if sub == "v" else tuple(sorted(anchor))
+            known = 0 <= key < nh if sub == "v" else edges.issuperset(combinations(key, 2))
+            if not known:
+                raise ParseError(f"eta {sub} line for {key}, which is not in the pattern", lineno)
+            if key in sets[sub]:
+                raise ParseError(f"duplicate eta {sub} line for {key}", lineno)
+            sets[sub][key] = members
         else:
-            raise ParseError(f"unknown line kind {parts[0]!r}", lineno)
+            raise ParseError(f"unknown line kind {' '.join(tokens[:2])!r}", lineno)
     if nh is None:
         raise ParseError("missing 'h' header")
+    if len(edges) != mh:
+        raise ParseError(f"expected {mh} pattern edges, found {len(edges)}")
     try:
-        return ExtendedStripDecomposition(range(nh), edges, vsets, esets, tsets)
+        return ExtendedStripDecomposition(range(nh), edges, sets["v"], sets["e"], sets["t"])
     except InputError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _parse_eta(parts, line, vsets, esets, tsets):
-    kind = parts[1]
-    body = line.split(":", 1)[1]
-    if kind == "v":
-        vsets[int(parts[2])] = {int(v) for v in body.split()}
-    elif kind == "e":
-        x, y = int(parts[2]), int(parts[3])
-        chunks = body.split("|")
-        if len(chunks) != 3:
-            raise ValueError("edge eta needs three | separated lists")
-        full, ea, eb = ({int(v) for v in c.split()} for c in chunks)
-        if x > y:
-            ea, eb = eb, ea
-        esets[(min(x, y), max(x, y))] = (full, ea, eb)
-    elif kind == "t":
-        tsets[(int(parts[2]), int(parts[3]), int(parts[4]))] = {int(v) for v in body.split()}
-    else:
-        raise ValueError(f"unknown eta kind {kind!r}")

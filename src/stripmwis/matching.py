@@ -20,14 +20,12 @@ class AuxGraph:
     """Simple undirected graph with non-negative integer edge weights."""
 
     def __init__(self):
-        self.nodes = []
-        self._node_set = set()
+        self.nodes = {}          # node -> its sort key, in insertion order
         self.edges = {}
 
     def add_node(self, u):
-        if u not in self._node_set:
-            self._node_set.add(u)
-            self.nodes.append(u)
+        if u not in self.nodes:
+            self.nodes[u] = _node_key(u)
 
     def add_edge(self, u, v, w):
         if u == v:
@@ -43,8 +41,8 @@ class AuxGraph:
 
     def sorted_edges(self):
         return sorted(
-            ((tuple(sorted(k, key=_node_key)), w) for k, w in self.edges.items()),
-            key=lambda it: (_node_key(it[0][0]), _node_key(it[0][1])),
+            ((tuple(sorted(k, key=self.nodes.__getitem__)), w) for k, w in self.edges.items()),
+            key=lambda it: (self.nodes[it[0][0]], self.nodes[it[0][1]]),
         )
 
     def weight(self, matching) -> int:
@@ -60,7 +58,7 @@ def max_weight_matching(aux: AuxGraph):
     if not aux.edges:
         return frozenset(), 0
     g = nx.Graph()
-    for u in sorted(aux.nodes, key=_node_key):
+    for u in sorted(aux.nodes, key=aux.nodes.__getitem__):
         g.add_node(u)
     for (u, v), w in aux.sorted_edges():
         g.add_edge(u, v, weight=w)

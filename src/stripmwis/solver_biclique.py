@@ -159,9 +159,7 @@ class _BicliqueSolver(Recursion):
             U, ukind = T, "T"
         ctx = choose_sink_node(Gp, td, U, self.k)
 
-        result = BorderProfile(
-            tuple(Gp.label_of(i) for i in sorted(Gp.ids_of(T))),
-            with_witnesses=self.cfg.with_witnesses)
+        result = BorderProfile.of_terminals(Gp, T, self.cfg.with_witnesses)
 
         qlabels = list(ctx.q)
         conflicts = []

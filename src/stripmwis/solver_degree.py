@@ -334,8 +334,7 @@ class _DegreeSolver(Recursion):
                     for p in parts}
         # Fold the removed closed neighborhood back in: maximize
         # w(I \ T*) + f*(I cap T*) into the cell I cap T.
-        result = BorderProfile(tuple(Gp.label_of(i) for i in sorted(Gp.ids_of(T))),
-                               with_witnesses=self.cfg.with_witnesses)
+        result = BorderProfile.of_terminals(Gp, T, self.cfg.with_witnesses)
         fold(result, Gp, Tstar | closed, {v: Gp.weight_of(v) for v in closed}, closed,
              strip_parts(Gstar, Tstar, D, profiles, self.cfg.with_witnesses))
         return result

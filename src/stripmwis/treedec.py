@@ -15,6 +15,7 @@ from itertools import combinations
 import networkx as nx
 
 from .errors import CapacityError, InputError, InvariantError, ParseError
+from .fileio import fields, records
 from .graph import WeightedGraph
 
 #: Bag splits the builder may make in one call.
@@ -26,30 +27,13 @@ class TreeDecomposition:
         """`bags` maps node id -> label set; `tree_edges` connect node ids."""
         self.bags = {nid: frozenset(b) for nid, b in bags.items()}
         self.nodes = tuple(sorted(self.bags))
-        es = set()
-        for s, t in tree_edges:
-            if s == t or s not in self.bags or t not in self.bags:
-                raise InputError(f"bad tree edge ({s}, {t})")
-            es.add((min(s, t), max(s, t)))
-        self.tree_edges = tuple(sorted(es))
-        if len(self.nodes) > 0 and len(self.tree_edges) != len(self.nodes) - 1:
-            raise InputError("decomposition tree must have exactly n-1 edges")
-        if self.nodes and not self._tree_connected():
-            raise InputError("decomposition tree is not connected")
-
-    def _tree_connected(self) -> bool:
-        adj = {n: [] for n in self.nodes}
-        for s, t in self.tree_edges:
-            adj[s].append(t)
-            adj[t].append(s)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.nodes)
+        self.tree_edges = tuple(sorted({(min(s, t), max(s, t)) for s, t in tree_edges}))
+        #: The decomposition tree, a graph on the node ids; it rejects an
+        #: edge at an unknown node and a loop.
+        self.tree = WeightedGraph(self.nodes, [0] * len(self.nodes), self.tree_edges)
+        if self.nodes and (len(self.tree_edges) != len(self.nodes) - 1
+                           or len(self.tree.components()) > 1):
+            raise InputError("decomposition tree must be connected with n-1 edges")
 
     def adhesion(self, s, t) -> frozenset:
         if (min(s, t), max(s, t)) not in self.tree_edges:
@@ -57,31 +41,15 @@ class TreeDecomposition:
         return self.bags[s] & self.bags[t]
 
     def tree_neighbors(self, node):
-        return sorted(t if s == node else s
-                      for s, t in self.tree_edges if node in (s, t))
+        return sorted(self.tree.neighbors_labels(node))
 
-    def covered(self) -> frozenset:
-        out = set()
-        for b in self.bags.values():
-            out |= b
-        return frozenset(out)
 
 def tree_sides(td: TreeDecomposition, s, t):
     """Correct two-sided split of the tree at edge st."""
-    adj = {n: set(td.tree_neighbors(n)) for n in td.nodes}
-    seen = {s}
-    stack = [s]
-    while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
-            if (cur, nb) == (s, t) or (cur, nb) == (t, s):
-                continue
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    side_s = seen
-    side_t = set(td.nodes) - side_s
-    return side_s, side_t
+    st = (min(s, t), max(s, t))
+    rest = WeightedGraph(td.nodes, td.tree.weights, [e for e in td.tree_edges if e != st])
+    side_s = next(c for c in rest.components() if s in c)
+    return set(side_s), set(td.nodes) - side_s
 
 
 def validate_tree_decomposition(G: WeightedGraph, td: TreeDecomposition) -> list:
@@ -93,36 +61,30 @@ def validate_tree_decomposition(G: WeightedGraph, td: TreeDecomposition) -> list
     both sides, so by connectivity it is in B_s and B_t, that is, in the
     adhesion, and not only on the t side."""
     report = []
+    # The nodes whose bags hold v induce a forest in the tree: v is in a
+    # bag, and its bags are connected, iff there is one node more than
+    # there are edges.
+    forest = dict.fromkeys(G.labels, 0)
     for b in td.bags.values():
         for v in b:
-            if not G.has_label(v):
+            if v in forest:
+                forest[v] += 1
+            else:
                 report.append(f"bag vertex {v!r} is not in the graph")
     if report:
         return report
-    covered = td.covered()
-    for v in G.labels:
-        if v not in covered:
+    for s, t in td.tree_edges:
+        for v in td.bags[s] & td.bags[t]:
+            forest[v] -= 1
+    for v, count in forest.items():
+        if count == 0:
             report.append(f"vertex {v!r} is in no bag")
+        elif count > 1:
+            report.append(f"bags holding {v!r} are not connected in the tree")
     for u, v in G.edges_ids():
         lu, lv = G.label_of(u), G.label_of(v)
         if not any(lu in b and lv in b for b in td.bags.values()):
             report.append(f"edge {lu!r}-{lv!r} is covered by no bag")
-    # Connectivity of each vertex's node set.
-    adj = {n: td.tree_neighbors(n) for n in td.nodes}
-    for v in G.labels:
-        holding = [n for n in td.nodes if v in td.bags[n]]
-        if not holding:
-            continue
-        seen = {holding[0]}
-        stack = [holding[0]]
-        hold = set(holding)
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb in hold and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(holding):
-            report.append(f"bags holding {v!r} are not connected in the tree")
     return report
 
 
@@ -181,8 +143,7 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     if not comps:
         comps = [frozenset()]
     bags = {i: set(c) for i, c in enumerate(comps)}
-    tree = {(i, i + 1) for i in range(len(comps) - 1)}
-    neighbors = {i: {j for e in tree for j in e if i in e and j != i} for i in bags}
+    neighbors = {i: {i - 1, i + 1} & bags.keys() for i in bags}
     next_id = len(bags)
     splits = 0
     worklist = sorted(bags)
@@ -291,33 +252,30 @@ def td_to_text(td: TreeDecomposition) -> str:
 
 
 def td_from_text(text: str) -> TreeDecomposition:
+    """Parse the text format: a header 't <bags>', one line 'b <node> :
+    <labels>' per bag and one line 'te <s> <t>' per tree edge, each
+    at most once."""
     bags = {}
-    edges = []
+    edges = set()
     count = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "t":
-            try:
-                count = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError("header must be 't <bags>'", lineno) from None
-        elif parts[0] == "b":
-            try:
-                node = int(parts[1])
-                body = line.split(":", 1)[1]
-                bags[node] = {int(v) for v in body.split()}
-            except (IndexError, ValueError):
-                raise ParseError("bag line must be 'b <node> : <vertices>'", lineno) from None
-        elif parts[0] == "te":
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except (IndexError, ValueError):
-                raise ParseError("tree edge must be 'te <s> <t>'", lineno) from None
+    for lineno, tokens in records(text):
+        kind = tokens[0]
+        if kind == "t":
+            if count is not None:
+                raise ParseError("duplicate header", lineno)
+            count, = fields(lineno, tokens, "t <bags>")
+        elif kind == "b":
+            node, bag = fields(lineno, tokens, "b <node> : ...")
+            if node in bags:
+                raise ParseError(f"duplicate bag line for node {node}", lineno)
+            bags[node] = bag
+        elif kind == "te":
+            s, t = fields(lineno, tokens, "te <s> <t>")
+            if (min(s, t), max(s, t)) in edges:
+                raise ParseError(f"duplicate tree edge {s} {t}", lineno)
+            edges.add((min(s, t), max(s, t)))
         else:
-            raise ParseError(f"unknown line kind {parts[0]!r}", lineno)
+            raise ParseError(f"unknown line kind {kind!r}", lineno)
     if count is None:
         raise ParseError("missing 't' header")
     if count != len(bags):

@@ -58,15 +58,13 @@ def test_profile_terminal_cap():
     BorderProfile(range(26))  # at the cap is fine
 
 
-def test_profile_sanity_and_dump_round_trip():
+def test_profile_sanity():
     rng = random.Random(11)
     for _ in range(20):
         G = random_graph(rng, rng.randint(0, 10), 0.3)
         T = frozenset(rng.sample(list(G.labels), min(G.n, 4)))
         prof = brute_force_border(G, T)
         assert prof.sanity_report(G) == []
-        back = BorderProfile.parse(prof.terminals, prof.dump())
-        assert back.same_table(prof)
 
 
 def test_combine_trivial_esd_passthrough():

@@ -108,6 +108,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ("--outcome", "paths 0\nh 1 0\nbogus\n", "line 3"),
     ("--td", "t\n", "line 1"),
     ("--esd", None, "cannot read"),
+    # files each of which a reader used to accept by dropping a line
+    ("--esd", "h 1 5\neta v 0 : 1 2 3 4 5 6 7 8\n", "error: "),
+    ("--esd", "h 1 0\neta v 0 : 1\neta v 0 : 1 2 3 4 5 6 7 8\n", "line 3"),
+    ("--esd", "h 1 0\neta v 0 : 1 2 3 4 5 6 7 8\neta v 4 :\n", "line 3"),
+    ("--esd", "h 2 1\nhe 0 1\nhe 0 1\neta v 0 : 1 2 3 4 5 6 7 8\n", "line 3"),
+    ("--td", "t 1\nb 0 : 1\nb 0 : 1 2 3 4 5 6 7 8\n", "line 3"),
+    ("--esd", "h 1 0\neta v 0 : 1 2 3 4 5 6 7 8\neta e 0 1 : | |\n", "line 3"),
+    ("--td", "t 1\nt 1\nb 0 : 1 2 3 4 5 6 7 8\n", "line 2"),
+    ("--td", "t 2\nb 0 : 1 2 3 4 5 6 7 8\nb 1 :\nte 0 1\nte 1 0\n", "line 5"),
 ])
 def test_malformed_or_missing_input_files_exit_2(tmp_path, capsys, flag, text, message):
     gpath = tmp_path / "g.graph"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stripmwis.errors import ContractViolation
+from stripmwis.errors import ContractViolation, InputError
 from stripmwis.esd import (EDGE_INTERIOR, FULL_EDGE, HALF_EDGE, TRIANGLE,
                            VERTEX, ExtendedStripDecomposition, check_pattern_degree,
                            components_esd, esd_from_text, esd_to_text,
@@ -38,6 +38,13 @@ def test_single_edge_esd():
     assert by_kind[(HALF_EDGE, ((0, 1), 0))].members == {"u"}
     assert by_kind[(HALF_EDGE, ((0, 1), 1))].members == {"v"}
     assert by_kind[(FULL_EDGE, (0, 1))].members == {"u", "v"}
+
+
+def test_classes_outside_the_pattern_rejected():
+    with pytest.raises(InputError, match="4"):
+        ExtendedStripDecomposition((0,), [], {0: {"u"}, 4: set()}, {})
+    with pytest.raises(InputError, match="0, 1"):
+        ExtendedStripDecomposition((0, 1), [], {}, {(0, 1): (set(), set(), set())})
 
 
 def test_p1_violation_reported():
