@@ -90,15 +90,20 @@ def iter_independent_sets(conflict_masks):
     conflict with item i.  Enumeration order is depth-first with
     "skip item" explored before "take item", which makes downstream
     tie-breaking deterministic.
-    """
-    k = len(conflict_masks)
 
-    def rec(i, mask, forbidden):
-        if i == k:
-            yield mask
-            return
-        yield from rec(i + 1, mask, forbidden)
-        if not (forbidden >> i) & 1:
-            yield from rec(i + 1, mask | (1 << i), forbidden | conflict_masks[i])
-
-    yield from rec(0, 0, 0)
+    The search runs on an explicit stack of (taken, closed) masks, where
+    closed holds the items decided or in conflict with a taken one: it
+    follows the "skip" branch at once and pushes the "take" branch for
+    later, which is the recursive order with forced skips jumped over."""
+    full = (1 << len(conflict_masks)) - 1
+    stack = [(0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        mask, closed = pop()
+        while True:
+            low = ~closed & (closed + 1)
+            if low > full:
+                yield mask
+                break
+            push((mask | low, closed | low | conflict_masks[low.bit_length() - 1]))
+            closed |= low

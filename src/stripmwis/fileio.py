@@ -31,8 +31,8 @@ def records(text: str):
 def fields(lineno, tokens, form: str) -> list:
     """The integer fields of a line that must read `form`, such as
     'e <u> <v>', in order.  A `<...>` token of the form takes one integer
-    and a '...' token a list of integers, running up to the next token
-    of the form; every other token must appear as written."""
+    and a '...' token a list of distinct integers, running up to the next
+    token of the form; every other token must appear as written."""
     spec = form.split()
     out = []
     i = 0
@@ -40,7 +40,10 @@ def fields(lineno, tokens, form: str) -> list:
         for k, s in enumerate(spec):
             if s == "...":
                 j = tokens.index(spec[k + 1], i) if k + 1 < len(spec) else len(tokens)
-                out.append([int(tok) for tok in tokens[i:j]])
+                items = [int(tok) for tok in tokens[i:j]]
+                if len(set(items)) < len(items):
+                    raise ParseError("an integer repeats within a list", lineno)
+                out.append(items)
                 i = j
             elif s[0] == "<":
                 out.append(int(tokens[i]))

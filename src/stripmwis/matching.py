@@ -2,12 +2,11 @@
 
 The solver is the blossom implementation shipped with networkx, wrapped
 behind a deterministic interface; an exhaustive matcher ships alongside
-as the independent oracle for the test suite.
+as the independent oracle for the test suite.  networkx is imported on
+first use, so that importing the package does not load it.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .errors import InputError, InvariantError
 
@@ -57,6 +56,8 @@ def max_weight_matching(aux: AuxGraph):
     """
     if not aux.edges:
         return frozenset(), 0
+    import networkx as nx
+
     g = nx.Graph()
     for u in sorted(aux.nodes, key=aux.nodes.__getitem__):
         g.add_node(u)

@@ -12,9 +12,9 @@ removal and on the particles of the restricted strip decomposition, and
 folds everything into the parent profile.  The particle profiles of an
 edgeless strip pattern are fold parts as they are; a pattern with edges
 is combined by the matching step first.  The fold enumerates the
-independent subsets of the terminals among (T cap V(G^J)) union T^Y union
-Y^J, those of the parent and of the parts; the rest of Y^J is a memoized
-maximum-weight independent set per subset.
+independent subsets of Y^J, of T cap V(G^J) and of the part terminals
+that two parts share or that touch another part's terminals; each other
+part terminal is read from its own part through a subset-max table.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ particle profiles and the removed part together.  The particles of an
 edgeless strip pattern, which is all the reference decomposer emits, are
 its pairwise non-adjacent vertex classes, so their profiles are fold
 parts as they are; a pattern with edges is combined by the matching step
-first.  The fold enumerates the independent subsets of the terminals
-T* union (T cap N[X]) only; the rest of N[X] adds weight and nothing else,
-so for each subset it is a maximum-weight independent set, memoized on
-what the subset leaves alive.
+first.  The fold enumerates the independent subsets of T and of the
+positive-weight vertices of N[X] only: a terminal of T* outside T belongs
+to one part, and no other part's terminal touches it, so that part
+answers for it by one lookup in a subset-max table per subset.
 
 The alternation between balancing on all vertices and balancing on the
 terminal set keeps the terminal count below 4 * Delta^2 * ell at every
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border, combine_esd
-from .bnb import iter_independent_sets, max_weight_set
+from .bnb import iter_independent_sets
 from .decompose import decompose, validate_outcome
 from .errors import InputError, InvariantError
 from .esd import check_pattern_degree, occurrence_bound, particles
@@ -187,61 +187,57 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
     terminals; its witnesses meet those exactly in their cell, so they add
     nothing of the universe outside I.
 
-    Only the bound vertices of `universe`, the terminals of `result` and
-    of the parts, are enumerated.  Every other vertex is free: it changes
-    no cell and only adds its weight, so each independent bound subset
-    takes the heaviest independent set of free vertices not adjacent to
-    it, a branch-and-bound MWIS memoized on the free vertices left alive.
-    Free vertices of weight <= 0 never help and are left out."""
+    A private coordinate is a terminal of one part alone, of weight zero,
+    no terminal of `result` and with no neighbor among the other parts'
+    terminals: whether I takes it matters to its part only.  The other
+    terminals and vertices of positive weight are enumerated; the rest
+    never help.  A subset-max transform over its private bits makes each
+    part's table answer "best cell within these private bits", so an
+    independent enumerated subset S costs one lookup per part, with the
+    private coordinates outside N(S) allowed."""
     tset = set(result.terminals)
-    bound_labels = tset.union(*(prof.terminals for prof in parts))
-    bound, free = [], []
+    # Each part's cell sits in a packed mask at the part's offset, above
+    # the result cell; packed_of[lab] holds lab's bits in all of them.
+    packed_of = {lab: result.mask_of([lab]) for lab in tset}
+    owners, spans = {}, []
+    off = len(result.terminals)
+    for p, prof in enumerate(parts):
+        for lab in prof.terminals:
+            owners.setdefault(lab, set()).add(p)
+            packed_of[lab] = packed_of.get(lab, 0) | prof.mask_of([lab]) << off
+        spans.append((prof, off, (1 << len(prof.terminals)) - 1))
+        off += len(prof.terminals)
+
+    enumerated, all_private = [], 0
     for v in sorted(Gp.ids_of(universe)):
         lab = Gp.label_of(v)
-        if lab in bound_labels:
-            bound.append(v)
-        elif weight.get(lab, 0) > 0:
-            free.append(v)
-    labels = [Gp.label_of(v) for v in bound]
-    free_labels = [Gp.label_of(v) for v in free]
-    bound_pos = {v: i for i, v in enumerate(bound)}
-    free_pos = {v: j for j, v in enumerate(free)}
+        own = owners.get(lab, ())
+        if len(own) == 1 and lab not in tset and not weight.get(lab, 0) \
+                and all(owners.get(Gp.label_of(u), own) <= own for u in Gp.adj[v]):
+            all_private |= packed_of[lab]
+        elif own or lab in tset or weight.get(lab, 0) > 0:
+            enumerated.append(v)
+    labels = [Gp.label_of(v) for v in enumerated]
+    pos = {v: i for i, v in enumerate(enumerated)}
+    # Per enumerated vertex: its conflicts, its weight, its packed bits
+    # and the private bits it blocks.
+    conflicts, wts, bits, blocks = [], [], [], []
+    for v, lab in zip(enumerated, labels):
+        c = b = 0
+        for u in Gp.adj[v]:
+            if u in pos:
+                c |= 1 << pos[u]
+            else:
+                b |= packed_of.get(Gp.label_of(u), 0)
+        conflicts.append(c)
+        blocks.append(b & all_private)
+        wts.append(weight.get(lab, 0))
+        bits.append(packed_of.get(lab, 0))
 
-    def neighbor_masks(ids, pos_of):
-        # As bits over pos_of's positions, the neighbors of each vertex in ids.
-        out = []
-        for v in ids:
-            c = 0
-            for u in Gp.adj[v]:
-                j = pos_of.get(u)
-                if j is not None:
-                    c |= 1 << j
-            out.append(c)
-        return out
-
-    conflicts = neighbor_masks(bound, bound_pos)
-    free_conflicts = neighbor_masks(bound, free_pos)
-    free_adj = neighbor_masks(free, free_pos)
-    wts = [weight.get(lab, 0) for lab in labels]
-    free_wts = [weight[lab] for lab in free_labels]
-
-    # One packed mask per vertex: its bit in the result cell, then its bit
-    # in each part's cell at that part's offset.
-    bits = [result.mask_of([lab]) if lab in tset else 0 for lab in labels]
-    packed_parts = []
-    off = len(result.terminals)
-    for prof in parts:
-        pset = set(prof.terminals)
-        for i, lab in enumerate(labels):
-            if lab in pset:
-                bits[i] |= prof.mask_of([lab]) << off
-        packed_parts.append((prof, off, (1 << len(prof.terminals)) - 1))
-        off += len(prof.terminals)
+    tables = [(*_subset_max(prof.table, all_private >> off & pmask), prof.witnesses,
+               off, pmask) for prof, off, pmask in spans]
     cell_mask = (1 << len(result.terminals)) - 1
     keep_mask = sum(1 << i for i, lab in enumerate(labels) if lab in keep)
-    free_keep_mask = sum(1 << j for j, lab in enumerate(free_labels) if lab in keep)
-    all_free = (1 << len(free)) - 1
-    best_free = {}
     with_witnesses = result.witnesses is not None
 
     for mask in iter_independent_sets(conflicts):
@@ -254,15 +250,11 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
             i = b.bit_length() - 1
             value += wts[i]
             packed |= bits[i]
-            blocked |= free_conflicts[i]
+            blocked |= blocks[i]
             m ^= b
-        alive = all_free & ~blocked
-        extension = best_free.get(alive)
-        if extension is None:
-            extension = best_free[alive] = max_weight_set(free_adj, free_wts, alive)
-        value += extension[0]
-        for prof, off, pmask in packed_parts:
-            sub = prof.table[(packed >> off) & pmask]
+        packed |= all_private & ~blocked
+        for best, _, _, off, pmask in tables:
+            sub = best[(packed >> off) & pmask]
             if sub is None:
                 raise InvariantError("independent trace hit a -inf part cell")
             value += sub
@@ -273,11 +265,30 @@ def fold(result: BorderProfile, Gp: WeightedGraph, universe, weight, keep, parts
         if with_witnesses and (cur is None or value > cur):
             wit = set(base_witness)
             wit.update(_labels_of(mask & keep_mask, labels))
-            wit.update(_labels_of(extension[1] & free_keep_mask, free_labels))
-            for prof, off, pmask in packed_parts:
-                wit |= prof.witnesses[(packed >> off) & pmask]
+            for _, arg, witnesses, off, pmask in tables:
+                wit |= witnesses[arg[(packed >> off) & pmask]]
             wit = frozenset(wit)
         result.update(cell, value, wit)
+
+
+def _subset_max(table, bits: int):
+    """The table whose cell c holds the best cell of `table` that agrees
+    with c outside `bits` and lies within c on them (None is -infinity),
+    and the index of that cell; ties keep the smaller cell."""
+    if not bits:
+        return table, range(len(table))
+    best = list(table)
+    arg = list(range(len(table)))
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        for start in range(b, len(best), 2 * b):
+            for c in range(start, start + b):
+                lo = best[c ^ b]
+                if lo is not None and (best[c] is None or lo >= best[c]):
+                    best[c] = lo
+                    arg[c] = arg[c ^ b]
+    return best, arg
 
 
 def strip_parts(G: WeightedGraph, T, D, profiles, with_witnesses: bool) -> list:

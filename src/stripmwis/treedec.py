@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import CapacityError, InputError, InvariantError, ParseError
 from .fileio import fields, records
 from .graph import WeightedGraph
@@ -135,6 +133,8 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     separator (below k) between two high-degree vertices, provided the
     split lowers the high-degree count on both sides.
     """
+    import networkx as nx
+
     if k < 2:
         raise InputError("k must be at least 2")
     thr = high_degree_threshold(k)
@@ -202,6 +202,8 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
 def _find_split(g, high, k, thr, bags, neighbors, node):
     """First separator (deterministic order) that splits the torso and
     lowers the high-degree count on both sides."""
+    import networkx as nx
+
     for u, v in combinations(high, 2):
         if g.has_edge(u, v):
             continue
@@ -233,6 +235,8 @@ def _find_split(g, high, k, thr, bags, neighbors, node):
 
 
 def _high_count_after(g, side, cut, thr):
+    import networkx as nx
+
     sub = nx.Graph(g.subgraph(side))
     for a, b in combinations(sorted(cut, key=repr), 2):
         sub.add_edge(a, b)

@@ -117,6 +117,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ("--esd", "h 1 0\neta v 0 : 1 2 3 4 5 6 7 8\neta e 0 1 : | |\n", "line 3"),
     ("--td", "t 1\nt 1\nb 0 : 1 2 3 4 5 6 7 8\n", "line 2"),
     ("--td", "t 2\nb 0 : 1 2 3 4 5 6 7 8\nb 1 :\nte 0 1\nte 1 0\n", "line 5"),
+    # a label listed twice inside one list
+    ("--esd", "h 1 0\neta v 0 : 1 1 2 3 4 5 6 7 8\n", "line 2"),
+    ("--td", "t 1\nb 0 : 1 1 2 3 4 5 6 7 8\n", "line 2"),
 ])
 def test_malformed_or_missing_input_files_exit_2(tmp_path, capsys, flag, text, message):
     gpath = tmp_path / "g.graph"
@@ -299,6 +302,15 @@ def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "stripmwis.cli", "--help"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is imported by the matching and tree-decomposition calls
+    src = str(Path(stripmwis.__file__).resolve().parents[1])
+    code = "import sys, stripmwis; print('networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_solve_default_algo_above_the_oracle_budget(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from stripmwis.errors import ParseError
-from stripmwis.fileio import read_graph, write_graph
+from stripmwis.fileio import fields, read_graph, write_graph
 from stripmwis.generate import generate_random_instance
 
 
@@ -52,3 +52,12 @@ def test_count_mismatches_detected():
         read_graph("p 2 1\nv 1 1\nv 2 1\n")
     with pytest.raises(ParseError):
         read_graph("p 2 0\nv 1 1\n")
+
+
+def test_list_fields_hold_distinct_integers():
+    form = "eta e <x> <y> : ... | ... | ..."
+    # one label in two lists of a line is legal, twice in one list is not
+    assert fields(1, "eta e 0 1 : 4 5 | 4 | 5".split(), form) == [0, 1, [4, 5], [4], [5]]
+    with pytest.raises(ParseError) as err:
+        fields(7, "eta e 0 1 : 4 5 4 | 4 | 5".split(), form)
+    assert err.value.line == 7

@@ -81,3 +81,31 @@ def test_verify_solution_single_cell_against_oracle():
     G = random_graph(rng, 10, 0.3)
     prof = brute_force_border(G, set())
     assert prof.table[0] == mwis_bruteforce(G)[0]
+
+
+def _recursive_independent_sets(conflicts):
+    # the reference order: depth first, "skip item i" before "take item i"
+    def rec(i, mask, forbidden):
+        if i == len(conflicts):
+            yield mask
+            return
+        yield from rec(i + 1, mask, forbidden)
+        if not forbidden >> i & 1:
+            yield from rec(i + 1, mask | 1 << i, forbidden | conflicts[i])
+
+    return rec(0, 0, 0)
+
+
+def test_independent_sets_in_the_recursive_order():
+    rng = random.Random(17)
+    for _ in range(300):
+        k = rng.randint(0, 11)
+        p = rng.random()
+        conflicts = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rng.random() < p:
+                    conflicts[i] |= 1 << j
+                    conflicts[j] |= 1 << i
+        assert list(bnb.iter_independent_sets(conflicts)) \
+            == list(_recursive_independent_sets(conflicts))

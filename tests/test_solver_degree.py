@@ -11,6 +11,7 @@ from stripmwis.generate import generate_random_instance, generate_subdivided_cla
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, max_weight_matching
 from stripmwis.oracle import mwis_bruteforce
+import stripmwis.bnb as bnb
 import stripmwis.border as border
 import stripmwis.solver_degree as solver_degree
 from stripmwis.solver_biclique import BicliqueSolverConfig, mwis_biclique
@@ -324,37 +325,47 @@ def _reference_fold(G, universe, weight, T, parts):
     return best
 
 
-def _fold_case(rng, signed):
-    # Two disjoint parts P1, P2 whose terminals hold every vertex with a
-    # neighbor outside the part, so each part's graph meets the universe
-    # only in its terminals; the rest of the universe is bound (in T) or free.
+def _fold_case(rng, signed, shared=False):
+    # Two parts on P1, P2 whose terminals hold every vertex with a neighbor
+    # outside the part, so each part's graph meets the universe only in its
+    # terminals; the rest of the universe is in T or only weighted.  With
+    # `shared`, one more vertex s lies in both parts as a terminal of each,
+    # and weight -w(s) takes off its second count.  The last item returned
+    # is the set the fold must enumerate: every terminal and every vertex
+    # of positive weight, except the private coordinates.
     G = random_graph(rng, 13, 0.3)
     P1 = frozenset(rng.sample(range(13), 4))
     P2 = frozenset(rng.sample(sorted(G.label_set - P1), 3))
-    parts, part_terminals = [], set()
-    for P in (P1, P2):
-        TP = (P & G.open_neighborhood(G.label_set - P)) | {rng.choice(sorted(P))}
+    S = frozenset(rng.sample(sorted(G.label_set - P1 - P2), 1)) if shared else frozenset()
+    parts, owners = [], {}
+    for P in (P1 | S, P2 | S):
+        TP = (P & G.open_neighborhood(G.label_set - P)) | {rng.choice(sorted(P))} | S
         parts.append(brute_force_border(G.subgraph(P), TP, with_witnesses=True))
-        part_terminals |= TP
-    universe = (G.label_set - P1 - P2) | part_terminals
+        for v in TP:
+            owners.setdefault(v, set()).add(len(parts))
+    universe = (G.label_set - P1 - P2) | owners.keys()
     T = frozenset(rng.sample(sorted(universe), 3))
-    rest = universe - part_terminals
+    rest = universe - owners.keys()
     if signed:
         weight = {v: rng.randint(-6, 10) for v in rest}
         keep = frozenset(v for v in rest if v in T or rng.random() < 0.7)
     else:
         weight = {v: G.weight_of(v) for v in rest}
         keep = rest
-    return G, universe, weight, keep, T, parts, part_terminals | T
+    weight |= {v: -G.weight_of(v) for v in S}
+
+    def private(v):
+        others = set().union(*(owners.get(u, ()) for u in G.neighbors_labels(v))) - owners[v]
+        return len(owners[v]) == 1 and v not in T and not weight.get(v) and not others
+
+    enumerated = {v for v in owners if not private(v)} | T \
+        | {v for v in rest if weight[v] > 0}
+    return G, universe, weight, keep, T, parts, enumerated
 
 
-@pytest.mark.parametrize("signed", [False, True])
-def test_fold_matches_full_enumeration(signed):
-    # signed weights and a partial keep exercise the free-vertex filter;
-    # with graph weights every cell witness must weigh its value
-    rng = random.Random(10 + signed)
+def _check_fold_against_reference(rng, signed, shared):
     for _ in range(15):
-        G, universe, weight, keep, T, parts, _ = _fold_case(rng, signed)
+        G, universe, weight, keep, T, parts, _ = _fold_case(rng, signed, shared)
         result = BorderProfile(_ordered(G, T), with_witnesses=True)
         fold(result, G, universe, weight, keep, parts)
         want = _reference_fold(G, universe, weight, T, parts)
@@ -371,9 +382,21 @@ def test_fold_matches_full_enumeration(signed):
                 assert not wit & dropped
 
 
-def test_fold_enumerates_only_bound_subsets(monkeypatch):
+@pytest.mark.parametrize("signed", [False, True])
+def test_fold_matches_full_enumeration(signed):
+    # signed weights and a partial keep exercise the vertices left out for
+    # weight <= 0; with graph weights every cell witness must weigh its value
+    _check_fold_against_reference(random.Random(10 + signed), signed, shared=False)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_fold_with_a_terminal_of_two_parts_matches_full_enumeration(signed):
+    _check_fold_against_reference(random.Random(13 + signed), signed, shared=True)
+
+
+def test_fold_enumerates_no_private_coordinate(monkeypatch):
     # the subsets yielded to the fold are the independent subsets of the
-    # terminals of the result and the parts, not of the whole universe
+    # terminals and positive-weight vertices that are no private coordinate
     yielded = []
     iter_sets = solver_degree.iter_independent_sets
 
@@ -384,10 +407,27 @@ def test_fold_enumerates_only_bound_subsets(monkeypatch):
 
     monkeypatch.setattr(solver_degree, "iter_independent_sets", counting)
     rng = random.Random(12)
-    for _ in range(10):
-        G, universe, weight, keep, T, parts, bound = _fold_case(rng, False)
+    privates = 0
+    for shared in [False] * 10 + [True] * 10:
+        G, universe, weight, keep, T, parts, enumerated = _fold_case(rng, False, shared)
         yielded.clear()
         fold(BorderProfile(_ordered(G, T)), G, universe, weight, keep, parts)
-        want = sum(G.is_independent(I) for r in range(len(bound) + 1)
-                   for I in combinations(sorted(bound), r))
+        want = sum(G.is_independent(I) for r in range(len(enumerated) + 1)
+                   for I in combinations(sorted(enumerated), r))
         assert len(yielded) == want
+        privates += len(set().union(*(p.terminals for p in parts)) - enumerated)
+    assert privates > 0
+
+
+def test_fold_makes_no_branch_and_bound_call(monkeypatch):
+    # each enumerated subset reads the part tables; nothing is left for a
+    # branch and bound, through bnb or a name imported from it
+    rng = random.Random(14)
+    cases = [_fold_case(rng, signed, shared) for signed in (False, True)
+             for shared in (False, True)]
+    calls = count_calls(monkeypatch, bnb, "max_weight_set")
+    monkeypatch.setattr(solver_degree, "max_weight_set", bnb.max_weight_set, raising=False)
+    for G, universe, weight, keep, T, parts, _ in cases:
+        fold(BorderProfile(_ordered(G, T), with_witnesses=True), G, universe, weight,
+             keep, parts)
+    assert calls == []
