@@ -197,8 +197,7 @@ def _run_algo(G, algo, args):
     if algo == "biclique":
         last = None
         for k in range(args.k, args.k + MAX_K_RETRIES + 1):
-            cfg = BicliqueSolverConfig(t=args.t, k=k, ell_scale=args.ell_scale,
-                                       leaf_cap_override=args.leaf_cap,
+            cfg = BicliqueSolverConfig(t=args.t, k=k, leaf_cap_override=args.leaf_cap,
                                        with_witnesses=getattr(args, "witness", False))
             try:
                 out = mwis_biclique(G, cfg)
@@ -255,8 +254,9 @@ def cmd_solve(args) -> int:
     print(f"value {value}")
     if args.witness and witness is not None:
         print(f"witness {_fmt_witness(witness)}")
-    if trace is not None and args.trace:
-        Path(args.trace).write_text(trace.dump(), encoding="utf-8")
+    if args.trace:
+        # The brute-force path makes no recursive call: its trace is empty.
+        Path(args.trace).write_text(trace.dump() if trace else "", encoding="utf-8")
     stats = ""
     if trace is not None:
         stats = (f" calls={trace.call_count} maxdepth={trace.max_depth}"
@@ -323,7 +323,9 @@ def cmd_gen(args) -> int:
         if args.output:
             Path(args.output + ".base").write_text(base_text, encoding="utf-8")
         else:
-            sys.stdout.write("c companion base graph\n" + base_text)
+            # As comment lines, so that stdout stays one readable graph.
+            sys.stdout.write("c companion base graph\n"
+                             + "".join(f"c {line}\n" for line in base_text.splitlines()))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

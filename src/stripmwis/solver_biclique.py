@@ -29,15 +29,14 @@ from .graph import WeightedGraph
 from .solver_degree import (Recursion, SolveResult, compute_ell, fold, run,
                             strip_parts, unwrap)
 from .trace import BranchRecord, TraceRecord
-from .treedec import (TreeDecomposition, build_weissauer, high_degree_threshold,
-                      tree_sides)
+from .treedec import (TreeDecomposition, build_weissauer, completion,
+                      high_degree_vertices, tree_sides)
 
 
 @dataclass
 class BicliqueSolverConfig:
     t: int = 2
     k: int = 10
-    ell_scale: object = 1
     # Not part of the published recursion: at desk scale 32*k^5*ell always
     # exceeds MAX_LEAF_VERTICES, which then sets the leaf cap; an explicit
     # cap below it makes the solver recurse on smaller instances.  Terminal
@@ -89,14 +88,7 @@ def choose_sink_node(Gp: WeightedGraph, td: TreeDecomposition, U, k: int) -> Bag
                 "tree decomposition violates its adhesion contract")
         if 2 * len(c & uset) > len(uset):
             raise InvariantError("sink bag left a component holding more than half of U")
-    gb_adj = {v: set(Gp.neighbors_labels(v) & bag) for v in bag}
-    for c, nc in comps:
-        for a in nc:
-            for b in nc:
-                if a != b:
-                    gb_adj[a].add(b)
-    thr = high_degree_threshold(k)
-    q = tuple(sorted((v for v, s in gb_adj.items() if len(s) > thr), key=repr))
+    q = tuple(high_degree_vertices(completion(Gp, bag, [nc for _, nc in comps]), k))
     if len(q) > k:
         raise InvariantError(f"{len(q)} high-degree bag vertices exceed k={k}")
     return BagContext(node=node, bag=bag, components=comps, q=q)
@@ -144,7 +136,7 @@ def mwis_biclique(G: WeightedGraph, cfg: BicliqueSolverConfig | None = None):
 class _BicliqueSolver(Recursion):
     def __init__(self, G: WeightedGraph, cfg: BicliqueSolverConfig):
         self.k = cfg.k
-        super().__init__(G, cfg, 32 * cfg.k ** 5 * compute_ell(G.n, cfg.t, cfg.ell_scale))
+        super().__init__(G, cfg, 32 * cfg.k ** 5 * compute_ell(G.n, cfg.t))
         self.u_rule_cap = (3 * self.leaf_cap) // 4
 
     def is_leaf(self, Gp: WeightedGraph, T: frozenset) -> bool:

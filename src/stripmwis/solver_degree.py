@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border, combine_esd
 from .bnb import iter_independent_sets
@@ -44,11 +43,10 @@ def compute_ell(n: int, t: int, ell_scale=1) -> int:
     if n < 1:
         n = 1
     base = math.ceil(11 * math.log2(n) + 6) * (t + 2)
-    scale = Fraction(*ell_scale.as_integer_ratio()) if isinstance(ell_scale, float) \
-        else Fraction(ell_scale)
-    if scale <= 0:
+    num, den = ell_scale.as_integer_ratio()
+    if num <= 0:
         raise InputError("ell_scale must be positive")
-    return max(1, math.ceil(scale * base))
+    return max(1, -(-num * base // den))
 
 
 @dataclass

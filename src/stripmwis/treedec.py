@@ -1,11 +1,17 @@
 """Tree decompositions with small adhesions and degree-bounded torsos.
 
+The torso of a bag is G[bag] plus a clique on each adhesion.  The
+validator, the builder, its split test and the biclique solver's sink
+bag all build such graphs by `completion` (an induced subgraph plus a
+clique on each given vertex set) and read their vertices of degree
+above 2k(k-1) by `high_degree_vertices`.
+
 The builder is a validator-gated best effort: it splits bags along
 minimum vertex separators of the torso between high-degree vertices
 until every torso has at most k vertices of degree above 2k(k-1), or
-fails with diagnostics after MAX_SPLITS splits.  Every returned
-decomposition passes both `validate_tree_decomposition` and
-`check_weissauer`.
+fails with diagnostics after MAX_SPLITS splits.  networkx is loaded for
+the minimum vertex cut of a split only.  Every returned decomposition
+passes both `validate_tree_decomposition` and `check_weissauer`.
 """
 
 from __future__ import annotations
@@ -86,26 +92,30 @@ def validate_tree_decomposition(G: WeightedGraph, td: TreeDecomposition) -> list
     return report
 
 
-def torso(G: WeightedGraph, td: TreeDecomposition, node) -> WeightedGraph:
-    """G[bag] plus a clique on each incident adhesion."""
-    bag = td.bags[node]
-    H = G.subgraph(bag)
-    extra = set()
-    for nb in td.tree_neighbors(node):
-        sigma = sorted(td.adhesion(node, nb), key=repr)
-        for a, b in combinations(sigma, 2):
-            if not H.has_edge_labels(a, b):
-                extra.add((a, b))
+def completion(G: WeightedGraph, labels, cliques) -> WeightedGraph:
+    """G[labels] plus a clique on each vertex set of `cliques`."""
+    H = G.subgraph(labels)
+    extra = [pair for sigma in cliques for pair in combinations(sorted(sigma, key=repr), 2)]
     if not extra:
         return H
-    labs = list(H.labels)
-    ws = list(H.weights)
     es = [(H.labels[u], H.labels[v]) for u, v in H.edges_ids()]
-    return WeightedGraph(labs, ws, es + sorted(extra, key=repr))
+    return WeightedGraph(H.labels, H.weights, es + extra)
+
+
+def torso(G: WeightedGraph, td: TreeDecomposition, node) -> WeightedGraph:
+    """G[bag] plus a clique on each incident adhesion."""
+    return completion(G, td.bags[node],
+                      (td.adhesion(node, nb) for nb in td.tree_neighbors(node)))
 
 
 def high_degree_threshold(k: int) -> int:
     return 2 * k * (k - 1)
+
+
+def high_degree_vertices(H: WeightedGraph, k: int) -> list:
+    """The vertices of H of degree above 2k(k-1), sorted by repr."""
+    thr = high_degree_threshold(k)
+    return sorted((v for i, v in enumerate(H.labels) if H.degree(i) > thr), key=repr)
 
 
 def check_weissauer(G: WeightedGraph, td: TreeDecomposition, k: int) -> list:
@@ -117,8 +127,7 @@ def check_weissauer(G: WeightedGraph, td: TreeDecomposition, k: int) -> list:
             report.append(f"adhesion of ({s}, {t}) has size {len(sigma)} >= {k}")
     thr = high_degree_threshold(k)
     for node in td.nodes:
-        tor = torso(G, td, node)
-        high = [v for v in tor.labels if tor.degree(tor.id_of(v)) > thr]
+        high = high_degree_vertices(torso(G, td, node), k)
         if len(high) > k:
             report.append(
                 f"torso of node {node} has {len(high)} vertices of degree > {thr}")
@@ -133,11 +142,8 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     separator (below k) between two high-degree vertices, provided the
     split lowers the high-degree count on both sides.
     """
-    import networkx as nx
-
     if k < 2:
         raise InputError("k must be at least 2")
-    thr = high_degree_threshold(k)
 
     comps = G.components()
     if not comps:
@@ -148,32 +154,17 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     splits = 0
     worklist = sorted(bags)
 
-    def torso_graph(node):
-        sub = G.subgraph(bags[node])
-        g = nx.Graph()
-        g.add_nodes_from(sorted(bags[node], key=repr))
-        for u, v in sub.edges_ids():
-            g.add_edge(sub.label_of(u), sub.label_of(v))
-        for nb in sorted(neighbors[node]):
-            sigma = sorted(bags[node] & bags[nb], key=repr)
-            for a, b in combinations(sigma, 2):
-                g.add_edge(a, b)
-        return g
-
-    def high_of(g):
-        return sorted((v for v in g.nodes if g.degree(v) > thr), key=repr)
-
     while worklist:
         node = worklist.pop(0)
-        g = torso_graph(node)
-        high = high_of(g)
+        H = completion(G, bags[node], (bags[node] & bags[nb] for nb in sorted(neighbors[node])))
+        high = high_degree_vertices(H, k)
         if len(high) <= k:
             continue
         if splits >= MAX_SPLITS:
             raise CapacityError(
                 f"treedec: MAX_SPLITS={MAX_SPLITS} bag splits made; unresolved bag of "
                 f"size {len(bags[node])} with {len(high)} high-degree vertices")
-        split = _find_split(g, high, k, thr, bags, neighbors, node)
+        split = _find_split(H, high, k, bags, neighbors, node)
         if split is None:
             raise CapacityError(
                 f"treedec: no separator below k={k} reduces the high-degree count "
@@ -199,21 +190,23 @@ def build_weissauer(G: WeightedGraph, k: int) -> TreeDecomposition:
     return td
 
 
-def _find_split(g, high, k, thr, bags, neighbors, node):
-    """First separator (deterministic order) that splits the torso and
-    lowers the high-degree count on both sides."""
+def _find_split(H, high, k, bags, neighbors, node):
+    """First separator (deterministic order) that splits the torso H of
+    `node` and lowers the high-degree count on both sides."""
     import networkx as nx
 
+    g = nx.Graph()
+    g.add_nodes_from(sorted(H.labels, key=repr))
+    g.add_edges_from((H.labels[u], H.labels[v]) for u, v in H.edges_ids())
     for u, v in combinations(high, 2):
-        if g.has_edge(u, v):
+        if H.has_edge_labels(u, v):
             continue
         cut = nx.minimum_node_cut(g, u, v)
         if len(cut) >= k:
             continue
-        rest = g.subgraph(set(g.nodes) - cut)
-        comp_u = nx.node_connected_component(rest, u)
-        w1 = set(comp_u) | set(cut)
-        w2 = (set(g.nodes) - set(comp_u))
+        comp_u = next(c for c in H.subgraph(H.label_set - cut).components() if u in c)
+        w1 = comp_u | cut
+        w2 = H.label_set - comp_u
         side1_nbrs, side2_nbrs = [], []
         ok = True
         for nb in sorted(neighbors[node]):
@@ -225,22 +218,10 @@ def _find_split(g, high, k, thr, bags, neighbors, node):
             else:
                 ok = False
                 break
-        if not ok:
-            continue
-        c1 = _high_count_after(g, w1, cut, thr)
-        c2 = _high_count_after(g, w2, cut, thr)
-        if c1 < len(high) and c2 < len(high):
+        if ok and all(len(high_degree_vertices(completion(H, w, [cut]), k)) < len(high)
+                      for w in (w1, w2)):
             return w1, w2, side1_nbrs, side2_nbrs
     return None
-
-
-def _high_count_after(g, side, cut, thr):
-    import networkx as nx
-
-    sub = nx.Graph(g.subgraph(side))
-    for a, b in combinations(sorted(cut, key=repr), 2):
-        sub.add_edge(a, b)
-    return sum(1 for v in sub.nodes if sub.degree(v) > thr)
 
 
 # -- text format ---------------------------------------------------------------

@@ -97,8 +97,8 @@ def biclique_corpus():
         built += 1
         result = None
         for k in (2, 3):
-            cfg = BicliqueSolverConfig(t=2, k=k, ell_scale=ELL_SCALE,
-                                       leaf_cap_override=14, with_witnesses=True)
+            cfg = BicliqueSolverConfig(t=2, k=k, leaf_cap_override=14,
+                                       with_witnesses=True)
             try:
                 result = mwis_biclique(G, cfg)
                 break

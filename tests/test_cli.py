@@ -167,6 +167,16 @@ def test_gen_families(tmp_path, capsys):
     assert out3.exists() and Path(str(out3) + ".base").exists()
 
 
+def test_gen_linegraph_stdout_is_one_graph(tmp_path, capsys):
+    # without -o the base graph goes to stdout as comment lines only
+    args = ["gen", "--family", "linegraph", "--edges", "6", "--seed", "3"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    out_file = tmp_path / "l.graph"
+    run_cli(args + ["-o", str(out_file)], capsys)
+    assert read_graph(out).equal_to(read_graph(out_file.read_text()))
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.graph", tmp_path / "b.graph"
     run_cli(["gen", "--family", "random", "--n", "15", "--delta", "3",
@@ -243,6 +253,18 @@ def test_trace_file_written(instance_file, tmp_path, capsys):
     assert lines and lines[0].startswith("call depth=0")
 
 
+@pytest.mark.parametrize("algo", ["auto", "bruteforce"])
+def test_trace_file_written_on_the_brute_force_path(tmp_path, capsys, algo):
+    G = generate_random_instance(12, 3, 2, 4)
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(G))
+    tracefile = tmp_path / "run.trace"
+    code, _, err = run_cli(["solve", str(path), "--algo", algo, "--trace",
+                            str(tracefile)], capsys)
+    assert code == 0 and "algo=bruteforce" in err
+    assert tracefile.read_text() == ""  # no recursive call is made
+
+
 def test_config_file_defaults_with_flag_override(instance_file, tmp_path, capsys):
     path, _ = instance_file
     cfg = tmp_path / "cfg.json"
@@ -305,12 +327,13 @@ def test_entry_point_runs():
 
 
 def test_import_leaves_networkx_unloaded():
-    # networkx is imported by the matching and tree-decomposition calls
+    # networkx is imported by the matching call and the bag split
     src = str(Path(stripmwis.__file__).resolve().parents[1])
-    code = "import sys, stripmwis; print('networkx' in sys.modules)"
+    code = ("import sys, stripmwis; "
+            "print([m for m in ('networkx', 'fractions') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_solve_default_algo_above_the_oracle_budget(tmp_path, capsys):

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripmwis
 import stripmwis.border as border
 from stripmwis.border import brute_force_border
 from stripmwis.errors import CapacityError, InputError
@@ -183,3 +188,23 @@ def test_default_leaf_cap_fits_the_oracle_budget(n):
     value, _, trace = mwis_biclique(G, BicliqueSolverConfig(k=3))
     assert value == cycle_mwis(G.weights)
     assert trace.call_count > 1
+
+
+def test_one_bag_solve_leaves_networkx_unloaded():
+    # networkx is loaded only to split a bag; at k = 3 this caterpillar's
+    # three hubs fit in one bag
+    here = Path(__file__).resolve().parent
+    src = str(Path(stripmwis.__file__).resolve().parents[1])
+    code = (
+        "import random, sys\n"
+        "from helpers import hub_caterpillar\n"
+        "from stripmwis.solver_biclique import BicliqueSolverConfig, mwis_biclique\n"
+        "from stripmwis.treedec import build_weissauer\n"
+        "G = hub_caterpillar(random.Random(3), 30, hubs=3, hub_legs=7)\n"
+        "assert len(build_weissauer(G, 3).nodes) == 1\n"
+        "value, _, trace = mwis_biclique(G, BicliqueSolverConfig(k=3, leaf_cap_override=14))\n"
+        "print(trace.call_count > 1, 'networkx' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
