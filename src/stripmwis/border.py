@@ -5,12 +5,12 @@ the maximum weight of an independent set I with I cap T = S, or the
 -infinity sentinel (None) when S is not independent.  Profiles of the
 particles of an extended strip decomposition combine into the profile of
 the whole graph through a maximum-weight matching in an auxiliary graph
-built per terminal subset.
+built per terminal subset.  The auxiliary graph holds only the edges of
+non-zero weight, and one `combine_esd` call runs the blossom once per
+distinct connected component of those graphs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import bnb
 from .errors import CapacityError, ContractViolation, InputError, InvariantError
@@ -148,7 +148,6 @@ def _slack(e):
     return ("slack", e)
 
 
-@dataclass
 class CombinationPlan:
     """Everything needed to evaluate and reconstruct one terminal subset:
     the base particle family with its weight, the auxiliary matching
@@ -157,14 +156,17 @@ class CombinationPlan:
     takes out of the base family; the edge weighs the value of add less
     the value of remove."""
 
-    trace: frozenset
-    base_particles: set
-    base_weight: int
-    aux: AuxGraph
-    terminal_set: frozenset
-    swaps: dict = field(repr=False, default_factory=dict)
-    particle_witnesses: dict | None = field(repr=False, default=None)
-    host: WeightedGraph = field(repr=False, default=None)
+    def __init__(self, trace: frozenset, base_particles: set, base_weight: int,
+                 aux: AuxGraph, terminal_set: frozenset, swaps: dict | None = None,
+                 particle_witnesses: dict | None = None, host: WeightedGraph | None = None):
+        self.trace = trace
+        self.base_particles = base_particles
+        self.base_weight = base_weight
+        self.aux = aux
+        self.terminal_set = terminal_set
+        self.swaps = {} if swaps is None else swaps
+        self.particle_witnesses = particle_witnesses
+        self.host = host
 
 
 def _particle_key(p: Particle):
@@ -215,9 +217,11 @@ def build_combination_plan(G: WeightedGraph, D: ExtendedStripDecomposition,
     swaps = {}
 
     def swap(u, v, add, remove):
-        aux.add_edge(u, v, sum(map(values.__getitem__, add))
-                     - sum(map(values.__getitem__, remove)))
-        swaps[frozenset((u, v))] = (add, remove)
+        # A maximum-weight matching never needs an edge of weight 0.
+        w = sum(map(values.__getitem__, add)) - sum(map(values.__getitem__, remove))
+        if w:
+            aux.add_edge(u, v, w)
+            swaps[frozenset((u, v))] = (add, remove)
 
     for e in D.pattern_edges:
         # The ends that e forces, and the ends that nothing forces.
@@ -288,7 +292,9 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
     itself) to the profile of (G[A], w, T cap A).  Non-independent
     terminal subsets keep -infinity; for each independent subset the
     auxiliary graph's maximum matching weight added to the base weight
-    gives the cell value.
+    gives the cell value.  The auxiliary graphs of different subsets
+    share most of their components, so each distinct component is
+    matched once per call.
     """
     prof = BorderProfile.of_terminals(G, T, with_witnesses)
     tset = frozenset(prof.terminals)
@@ -311,6 +317,7 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
                 c |= 1 << j
         conflicts.append(c)
 
+    solved = {}   # a component's weighted edges -> its maximum-weight matching
     for mask in bnb.iter_independent_sets(conflicts):
         trace = prof.labels_of(mask)
 
@@ -329,7 +336,14 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
                 return w
 
         plan = build_combination_plan(G, D, trace, profile_of, witness_of, terminal_set=tset)
-        matching, mweight = max_weight_matching(plan.aux)
+        matching, mweight = frozenset(), 0
+        for comp in plan.aux.components():
+            key = frozenset(comp.edges.items())
+            best = solved.get(key)
+            if best is None:
+                best = solved[key] = max_weight_matching(comp)
+            matching |= best[0]
+            mweight += best[1]
         value = plan.base_weight + mweight
         wit = None
         if with_witnesses:

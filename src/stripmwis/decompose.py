@@ -23,8 +23,8 @@ outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .errors import CapacityError, InputError, ParseError
 from .esd import (ExtendedStripDecomposition, components_esd, esd_from_records,
@@ -43,8 +43,7 @@ def path_count_cap(n: int) -> int:
     return math.ceil(11 * math.log2(max(n, 1)) + 6)
 
 
-@dataclass(frozen=True)
-class DecomposeOutcome:
+class DecomposeOutcome(NamedTuple):
     """A path family and a strip decomposition of what its removal leaves."""
 
     paths: tuple

@@ -11,8 +11,8 @@ patterns (P3).  All eta sets hold vertex labels of the host graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import ContractViolation, InputError, ParseError
 from .fileio import fields, records
@@ -25,8 +25,7 @@ FULL_EDGE = "full_edge"
 TRIANGLE = "triangle"
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(NamedTuple):
     """One of the five induced-subgraph pieces the recursion works on."""
 
     kind: str

@@ -4,6 +4,11 @@ The solver is the blossom implementation shipped with networkx, wrapped
 behind a deterministic interface; an exhaustive matcher ships alongside
 as the independent oracle for the test suite.  networkx is imported on
 first use, so that importing the package does not load it.
+
+A maximum-weight matching of a graph is the union of maximum-weight
+matchings of its connected components, so the combination step splits
+each auxiliary graph with `AuxGraph.components` and runs the blossom
+once per distinct component (see `border.combine_esd`).
 """
 
 from __future__ import annotations
@@ -37,6 +42,33 @@ class AuxGraph:
         self.add_node(u)
         self.add_node(v)
         self.edges[key] = int(w)
+
+    def components(self):
+        """The connected components that have an edge, each as an AuxGraph,
+        in the order of their first edge; isolated nodes are left out."""
+        adj = {}
+        for u, v in self.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        comp_of = {}
+        out = []
+        for start in adj:
+            if start in comp_of:
+                continue
+            comp = AuxGraph()
+            comp_of[start] = comp
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                comp.nodes[u] = self.nodes[u]
+                for v in adj[u]:
+                    if v not in comp_of:
+                        comp_of[v] = comp
+                        stack.append(v)
+            out.append(comp)
+        for key, w in self.edges.items():
+            comp_of[next(iter(key))].edges[key] = w
+        return out
 
     def sorted_edges(self):
         return sorted(

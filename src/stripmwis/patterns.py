@@ -7,15 +7,14 @@ doubles as its own validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
-class SubdividedClawWitness:
+class SubdividedClawWitness(NamedTuple):
     """An induced S_{a,b,c}: a degree-3 center and three pendant paths.
 
     Each leg is the vertex sequence from the center outwards, excluding

@@ -19,7 +19,7 @@ part terminal is read from its own part through a subset-max table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .border import BorderProfile
 from .bnb import iter_independent_sets
@@ -33,24 +33,22 @@ from .treedec import (TreeDecomposition, build_weissauer, completion,
                       high_degree_vertices, tree_sides)
 
 
-@dataclass
 class BicliqueSolverConfig:
-    t: int = 2
-    k: int = 10
-    # Not part of the published recursion: at desk scale 32*k^5*ell always
-    # exceeds MAX_LEAF_VERTICES, which then sets the leaf cap; an explicit
-    # cap below it makes the solver recurse on smaller instances.  Terminal
-    # invariants stay at 32*k^5*ell.
-    leaf_cap_override: int | None = None
-    with_witnesses: bool = False
-
-    def __post_init__(self):
-        if self.k < 2:
+    # `leaf_cap_override` is not part of the published recursion: at desk
+    # scale 32*k^5*ell always exceeds MAX_LEAF_VERTICES, which then sets
+    # the leaf cap; an explicit cap below it makes the solver recurse on
+    # smaller instances.  Terminal invariants stay at 32*k^5*ell.
+    def __init__(self, t: int = 2, k: int = 10, leaf_cap_override: int | None = None,
+                 with_witnesses: bool = False):
+        if k < 2:
             raise InputError("k must be at least 2")
+        self.t = t
+        self.k = k
+        self.leaf_cap_override = leaf_cap_override
+        self.with_witnesses = with_witnesses
 
 
-@dataclass
-class BagContext:
+class BagContext(NamedTuple):
     """The chosen sink bag with its component structure."""
 
     node: int

@@ -26,7 +26,6 @@ the recursion instead of collapsing into one brute-force leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border, combine_esd
 from .bnb import iter_independent_sets
@@ -43,25 +42,31 @@ def compute_ell(n: int, t: int, ell_scale=1) -> int:
     if n < 1:
         n = 1
     base = math.ceil(11 * math.log2(n) + 6) * (t + 2)
-    num, den = ell_scale.as_integer_ratio()
+    try:
+        num, den = ell_scale.as_integer_ratio()
+    except (ValueError, OverflowError):
+        raise InputError(f"ell_scale must be finite, got {ell_scale!r}") from None
     if num <= 0:
         raise InputError("ell_scale must be positive")
     return max(1, -(-num * base // den))
 
 
-@dataclass
 class DegreeSolverConfig:
-    t: int = 2
-    ell_scale: object = 1
-    leaf_cap_override: int | None = None
-    with_witnesses: bool = False
+    def __init__(self, t: int = 2, ell_scale=1, leaf_cap_override: int | None = None,
+                 with_witnesses: bool = False):
+        self.t = t
+        self.ell_scale = ell_scale
+        self.leaf_cap_override = leaf_cap_override
+        self.with_witnesses = with_witnesses
 
 
-@dataclass
 class SolveResult:
-    profile: BorderProfile | None = None
-    witness: SubdividedClawWitness | None = None
-    trace: RecursionTrace | None = None
+    def __init__(self, profile: BorderProfile | None = None,
+                 witness: SubdividedClawWitness | None = None,
+                 trace: RecursionTrace | None = None):
+        self.profile = profile
+        self.witness = witness
+        self.trace = trace
 
     @property
     def found_witness(self) -> bool:

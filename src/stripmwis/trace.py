@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     depth: int
     n: int
     terminals: int
@@ -21,8 +20,7 @@ class TraceRecord:
                 f"leaf={1 if self.leaf else 0}")
 
 
-@dataclass
-class BranchRecord:
+class BranchRecord(NamedTuple):
     j_mask: int
     dirty: int
     touched: int
@@ -34,9 +32,9 @@ class BranchRecord:
                 f"|Y|={self.y_size} |Z|={self.z_size}")
 
 
-@dataclass
 class RecursionTrace:
-    records: list = field(default_factory=list)
+    def __init__(self, records=None):
+        self.records = [] if records is None else records
 
     def add(self, record):
         self.records.append(record)

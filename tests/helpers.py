@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 from stripmwis.esd import ExtendedStripDecomposition, validate_esd
-from stripmwis.graph import WeightedGraph
+from stripmwis.graph import WeightedGraph, line_graph
 
 
 def naive_find_sttt(G: WeightedGraph, t: int) -> bool:
@@ -120,6 +120,21 @@ def random_esd_instance(rng: random.Random, max_n: int = 14):
     G = WeightedGraph(labels, [rng.randint(0, 20) for _ in labels], sorted(edges))
     assert not validate_esd(G, D), "generator produced an invalid decomposition"
     return G, D
+
+
+def line_graph_esd(base: WeightedGraph, ew):
+    """The line graph L of `base` (vertex weights from `ew`, keyed by
+    frozensets of endpoint labels) with its canonical strip decomposition:
+    the pattern is `base`, and each vertex of L sits alone in its edge
+    class and in both end-sets."""
+    L = line_graph(base, ew)
+    esets = {}
+    for u, v in base.edges_ids():
+        lab = tuple(sorted((base.labels[u], base.labels[v]), key=repr))
+        esets[(u, v)] = ({lab}, {lab}, {lab})
+    D = ExtendedStripDecomposition(range(base.n), base.edges_ids(),
+                                   {x: set() for x in range(base.n)}, esets)
+    return L, D
 
 
 def hub_caterpillar(rng: random.Random, n: int, hubs: int = 3,

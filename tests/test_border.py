@@ -1,18 +1,20 @@
 import random
 
+import networkx as nx
 import pytest
 
+import stripmwis.border as border
 from stripmwis.border import (BorderProfile, brute_force_border,
                               build_combination_plan, combine_esd,
                               reconstruct_witness)
 from stripmwis.bnb import iter_independent_sets
-from stripmwis.errors import CapacityError, ContractViolation
-from stripmwis.esd import (ExtendedStripDecomposition, components_esd, particles,
-                           validate_esd)
-from stripmwis.graph import WeightedGraph, line_graph
+from stripmwis.errors import CapacityError, ContractViolation, InvariantError
+from stripmwis.esd import (FULL_EDGE, ExtendedStripDecomposition, components_esd,
+                           particles, validate_esd)
+from stripmwis.graph import WeightedGraph
 from stripmwis.matching import AuxGraph, matching_bruteforce, max_weight_matching
 
-from helpers import random_esd_instance, random_graph
+from helpers import count_calls, line_graph_esd, random_esd_instance, random_graph
 
 
 def particle_profiles(G, D, T, with_witnesses=False):
@@ -94,6 +96,17 @@ def test_combine_single_edge_case_one():
     assert plan.base_weight == 0
 
 
+def test_negative_swap_weight_is_an_invariant_error():
+    # a full-edge value below its parts' values makes negative swaps
+    G = WeightedGraph(["u", "v"], [2, 3], [("u", "v")])
+    D = ExtendedStripDecomposition(
+        (0, 1), [(0, 1)], {0: set(), 1: set()},
+        {(0, 1): ({"u", "v"}, {"u"}, {"v"})})
+    with pytest.raises(InvariantError, match="negative auxiliary edge weight"):
+        build_combination_plan(G, D, frozenset(),
+                               lambda p: 0 if p.kind == FULL_EDGE else 5)
+
+
 def test_missing_profile_is_contract_violation():
     G = WeightedGraph(["u", "v"], [2, 3], [("u", "v")])
     D = components_esd([G.label_set])
@@ -150,6 +163,9 @@ def test_combination_claims_exhaustively():
                 lambda p: profs[p].value(trace & p.members),
                 lambda p: profs[p].witness(trace & p.members),
                 terminal_set=tset)
+            # zero-weight swaps are left out of the auxiliary graph
+            assert 0 not in plan.aux.edges.values()
+            assert plan.swaps.keys() == plan.aux.edges.keys()
             best = plan.base_weight + max_weight_matching(plan.aux)[1]
             # direction 2: every matching reconstructs soundly (checked
             # inside reconstruct_witness) and never beats the optimum
@@ -188,14 +204,7 @@ def test_line_graph_combination_equals_matching():
             continue
         ew = {frozenset((base.labels[u], base.labels[v])): rng.randint(0, 20)
               for u, v in base.edges_ids()}
-        L = line_graph(base, ew)
-        # pattern = base graph, each line-graph vertex sits in its edge class
-        esets = {}
-        for u, v in base.edges_ids():
-            lab = tuple(sorted((base.labels[u], base.labels[v]), key=repr))
-            esets[(u, v)] = ({lab}, {lab}, {lab})
-        D = ExtendedStripDecomposition(range(base.n), base.edges_ids(),
-                                       {x: set() for x in range(base.n)}, esets)
+        L, D = line_graph_esd(base, ew)
         assert not validate_esd(L, D)
         profs = particle_profiles(L, D, set())
         combined = combine_esd(L, set(), D, profs)
@@ -203,3 +212,67 @@ def test_line_graph_combination_equals_matching():
         for u, v in base.edges_ids():
             aux.add_edge(u, v, ew[frozenset((base.labels[u], base.labels[v]))])
         assert combined.table[0] == matching_bruteforce(aux)[1]
+
+
+def gnm_line_graph(seed, weights):
+    """L(R) with its canonical decomposition and 6 terminals, for the
+    root graph R = G(12, 18) of `seed` with edge weights from `weights`."""
+    rng = random.Random(seed)
+    R = nx.gnm_random_graph(12, 18, seed=seed)
+    base = WeightedGraph(R.nodes, [1] * 12, R.edges)
+    ew = {frozenset(e): rng.choice(weights) for e in R.edges}
+    L, D = line_graph_esd(base, ew)
+    return L, D, frozenset(rng.sample(list(L.labels), 6))
+
+
+def test_one_matching_per_distinct_component(monkeypatch):
+    """One combine_esd call matches each distinct non-zero component of
+    its auxiliary graphs once; the components are found with networkx."""
+    for seed in range(4):
+        L, D, T = gnm_line_graph(seed, range(0, 21))
+        profs = particle_profiles(L, D, T)
+        plans = []
+        build = border.build_combination_plan
+
+        def keep_plan(*args, **kwargs):
+            plans.append(build(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(border, "build_combination_plan", keep_plan)
+        calls = count_calls(monkeypatch, border, "max_weight_matching")
+        combined = combine_esd(L, T, D, profs)
+        monkeypatch.undo()
+        distinct = set()
+        for plan in plans:
+            g = nx.Graph(tuple(k) for k in plan.aux.edges)
+            for comp in nx.connected_components(g):
+                distinct.add(frozenset((k, w) for k, w in plan.aux.edges.items()
+                                       if k <= comp))
+        assert len(calls) == len(distinct) > 0
+        assert len(calls) < sum(nx.number_connected_components(
+            nx.Graph(tuple(k) for k in plan.aux.edges)) for plan in plans)
+        assert combined.same_table(brute_force_border(L, T))
+
+
+def test_witnessed_combination_with_ties_and_zero_weights():
+    """Weights from {0, 1, 2} make zero edges and ties; every cell equals
+    the exhaustive profile, and every witness is re-checked here."""
+    rng = random.Random(31)
+    cases = [gnm_line_graph(seed, (0, 1, 2)) for seed in range(3)]
+    for _ in range(40):
+        G, D = random_esd_instance(rng, max_n=10)
+        G = WeightedGraph(G.labels, [rng.choice((0, 1, 2)) for _ in G.labels],
+                          [(G.labels[u], G.labels[v]) for u, v in G.edges_ids()])
+        cases.append((G, D, frozenset(rng.sample(list(G.labels), min(G.n, 4)))))
+    for G, D, T in cases:
+        profs = particle_profiles(G, D, T, with_witnesses=True)
+        combined = combine_esd(G, T, D, profs, with_witnesses=True)
+        assert combined.same_table(brute_force_border(G, T))
+        for mask, value in combined.cells():
+            wit = combined.witnesses[mask]
+            if value is None:
+                assert wit is None
+                continue
+            assert G.is_independent(wit)
+            assert G.total_weight(wit) == value
+            assert wit & frozenset(combined.terminals) == combined.labels_of(mask)

@@ -326,11 +326,19 @@ def test_entry_point_runs():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_ell_scale_exits_2(instance_file, capsys, scale):
+    path, _ = instance_file
+    code, out, err = run_cli(["solve", str(path), "--algo", "degree", "--ell-scale", scale],
+                             capsys)
+    assert code == 2 and out == "" and "ell_scale must be finite" in err
+
+
 def test_import_leaves_networkx_unloaded():
     # networkx is imported by the matching call and the bag split
     src = str(Path(stripmwis.__file__).resolve().parents[1])
-    code = ("import sys, stripmwis; "
-            "print([m for m in ('networkx', 'fractions') if m in sys.modules])")
+    code = ("import sys, stripmwis; print([m for m in "
+            "('networkx', 'fractions', 'dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"

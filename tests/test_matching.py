@@ -81,3 +81,28 @@ def test_deterministic():
     edges = [(u, v, rng.randint(0, 9)) for u, v in pairs if rng.random() < 0.6]
     runs = {max_weight_matching(aux_from_edges(edges)) for _ in range(5)}
     assert len(runs) == 1
+
+
+def test_components_sum_to_the_whole_matching():
+    """On random graphs with zero-weight edges and isolated nodes, the
+    components' maximum matchings add up to the exhaustive optimum."""
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(0, 11)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        aux = aux_from_edges([(u, v, rng.choice((0, 0, 1, 2, rng.randint(3, 20))))
+                              for u, v in pairs if rng.random() < 0.25])
+        for i in range(rng.randint(0, 3)):
+            aux.add_node(("isolated", i))
+        comps = aux.components()
+        nodes = [u for c in comps for u in c.nodes]
+        assert len(nodes) == len(set(nodes)) == len({u for k in aux.edges for u in k})
+        assert {k: w for c in comps for k, w in c.edges.items()} == aux.edges
+        for c in comps:
+            assert c.edges and all(k <= c.nodes.keys() for k in c.edges)
+        matching, weight = frozenset(), 0
+        for c in comps:
+            m, w = max_weight_matching(c)
+            matching |= m
+            weight += w
+        assert weight == aux.weight(matching) == matching_bruteforce(aux)[1]
