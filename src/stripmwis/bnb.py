@@ -1,86 +1,90 @@
 """Bitmask branch-and-bound for maximum-weight independent sets.
 
 This is the workhorse behind every brute-force oracle in the package.
-It is deliberately independent of the decomposition machinery: plain
-include/exclude branching on a maximum-degree vertex with a
-sum-of-remaining-weights upper bound.
+It is deliberately independent of the decomposition machinery.  Each
+search node first applies an exact reduction: a vertex at least as heavy
+as its remaining neighbors together belongs to some maximum set, so it
+is taken and its neighbors dropped, until no such vertex is left (this
+takes every isolated vertex).  What remains is solved one connected
+component at a time, each by include/exclude branching on a
+maximum-degree vertex, pruned by the sum of the weights left against the
+best value the caller can still use.
 """
 
 from __future__ import annotations
 
 from .errors import CapacityError
+from .graph import components_masks
 
-#: Branch nodes one `max_weight_set` call may visit.
+#: Search nodes one `max_weight_set` call may visit.
 MAX_NODES = 20_000_000
 
 
 def max_weight_set(adj_masks, weights, alive: int):
-    """Exact MWIS restricted to the vertices in `alive`.
+    """Exact MWIS restricted to the vertices in `alive`; the weights must
+    be non-negative, as the reduction and the bound rely on it.
 
     Returns (best_weight, best_mask); raises CapacityError beyond
-    MAX_NODES branch nodes.
+    MAX_NODES search nodes.
     """
-    best_w = 0
-    best_m = 0
-
-    # Greedy seed by descending weight for an initial lower bound.
-    order = sorted(_bits(alive), key=lambda v: (-weights[v], v))
-    taken = 0
-    blocked = 0
-    gw = 0
-    for v in order:
-        b = 1 << v
-        if blocked & b:
-            continue
-        taken |= b
-        blocked |= b | adj_masks[v]
-        gw += weights[v]
-    if gw > best_w:
-        best_w, best_m = gw, taken
-
     nodes = 0
 
-    def dfs(mask, cur_w, cur_m):
-        nonlocal best_w, best_m, nodes
+    def weight(mask):
+        total = 0
+        while mask:
+            b = mask & -mask
+            total += weights[b.bit_length() - 1]
+            mask ^= b
+        return total
+
+    def solve(mask, floor):
+        # (w, m): the optimum of G[mask] and a set attaining it when the
+        # optimum exceeds floor; otherwise some independent set m of
+        # weight w <= floor, which the caller has no use for.
+        nonlocal nodes
         nodes += 1
         if nodes > MAX_NODES:
             raise CapacityError(f"bnb: branch and bound exceeded MAX_NODES={MAX_NODES} nodes")
-        # Harvest isolated vertices and compute the remaining-weight bound.
-        rem_w = 0
-        pick = -1
-        pick_deg = -1
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            if adj_masks[v] & mask == 0:
-                cur_w += weights[v]
-                cur_m |= b
-                mask ^= b
-            else:
-                rem_w += weights[v]
-                d = (adj_masks[v] & mask).bit_count()
-                if d > pick_deg:
-                    pick_deg = d
-                    pick = v
-            m ^= b
-        if cur_w > best_w:
-            best_w, best_m = cur_w, cur_m
-        if not mask or cur_w + rem_w <= best_w:
-            return
-        pb = 1 << pick
-        dfs(mask & ~(adj_masks[pick] | pb), cur_w + weights[pick], cur_m | pb)
-        dfs(mask ^ pb, cur_w, cur_m)
+        got_w = got_m = 0
+        again = True
+        while again:
+            again = False
+            m = mask
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                nbrs = adj_masks[v] & mask
+                if weights[v] >= weight(nbrs):
+                    got_w += weights[v]
+                    got_m |= b
+                    mask &= ~(nbrs | b)
+                    m &= mask
+                    again = True
+                else:
+                    m ^= b
+        left = weight(mask)
+        for comp in components_masks(adj_masks, mask):
+            bound = weight(comp)
+            left -= bound
+            need = floor - got_w - left
+            if bound <= need:
+                return got_w, got_m
+            pick = max((v for v in range(comp.bit_length()) if comp >> v & 1),
+                       key=lambda v: (adj_masks[v] & comp).bit_count())
+            b = 1 << pick
+            w, m = solve(comp & ~(adj_masks[pick] | b), need - weights[pick])
+            w, m = w + weights[pick], m | b
+            if bound - weights[pick] > max(need, w):
+                w2, m2 = solve(comp ^ b, max(need, w))
+                if w2 > w:
+                    w, m = w2, m2
+            got_w += w
+            got_m |= m
+            if w <= need:
+                return got_w, got_m
+        return got_w, got_m
 
-    dfs(alive, 0, 0)
-    return best_w, best_m
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+    return solve(alive, -1)
 
 
 def iter_independent_sets(conflict_masks):

@@ -10,14 +10,17 @@ the solvers only decompose induced subgraphs of their input, so they
 search the input once at the root.
 
 The reference implementation searches, by iterative deepening over the
-size of X = union(P), for a vertex set whose closed-neighborhood removal
-splits the graph into components that are each light in U, and returns X
-as |X| one-vertex paths; the component decomposition (one isolated
-pattern vertex per component) is then always rigid and valid.  It gives
-up with a CapacityError beyond MAX_UNION_SIZE vertices in X or
-MAX_CANDIDATES candidate sets.  Any implementation is accepted as long
-as its outcomes pass `validate_outcome`, which the solvers run on every
-outcome.
+size of X = union(P) and lexicographically within a size, for the first
+vertex set whose closed-neighborhood removal splits the graph into
+components that are each light in U, and returns X as |X| one-vertex
+paths; the component decomposition (one isolated pattern vertex per
+component) is then always rigid and valid.  A candidate that fails
+leaves a connected heavy set behind, and every later candidate whose
+removed set misses that set fails as well, so it is skipped without a
+component search.  The search gives up with a CapacityError beyond
+MAX_UNION_SIZE vertices in X or MAX_CANDIDATES candidate sets, skipped
+ones included.  Any implementation is accepted as long as its outcomes
+pass `validate_outcome`, which the solvers run on every outcome.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import CapacityError, InputError, ParseError
 from .esd import (ExtendedStripDecomposition, components_esd, esd_from_records,
                   esd_to_text, particles, validate_esd)
 from .fileio import fields, records
-from .graph import WeightedGraph, components_masks, neighborhood_mask
+from .graph import WeightedGraph
 
 #: Largest union X = union(P) the reference search tries.
 MAX_UNION_SIZE = 4
@@ -106,30 +109,55 @@ def decompose(G: WeightedGraph, U) -> DecomposeOutcome:
     umask = G.mask_of_labels(uset)
     cap = math.ceil(len(uset) / 2)
 
-    best_imbalance = None
+    # A connected set holding more than cap vertices of U that the last
+    # searched candidate left alive: a candidate whose removed set misses
+    # it leaves it connected, so that candidate fails unsearched.
+    heavy = 0
     examined = 0
     for size in range(0, min(MAX_UNION_SIZE, n) + 1):
         for combo in combinations(range(n), size):
             examined += 1
             if examined > MAX_CANDIDATES:
-                raise CapacityError(
-                    f"decompose: no decomposition within MAX_CANDIDATES={MAX_CANDIDATES} "
-                    f"candidate sets; best imbalance achieved: {best_imbalance}")
-            xmask = 0
+                raise CapacityError("decompose: no decomposition within "
+                                    f"MAX_CANDIDATES={MAX_CANDIDATES} candidate sets")
+            removed = 0
             for v in combo:
-                xmask |= 1 << v
-            alive = full & ~(xmask | neighborhood_mask(adjm, xmask))
-            comps = components_masks(adjm, alive)
-            worst = max(((c & umask).bit_count() for c in comps), default=0)
-            if best_imbalance is None or worst < best_imbalance:
-                best_imbalance = worst
-            if worst <= cap:
+                removed |= adjm[v] | 1 << v
+            if heavy and not heavy & removed:
+                continue
+            heavy, comps = light_components(adjm, full & ~removed, umask, cap)
+            if not heavy:
                 esd = components_esd([G.labels_of_mask(c) for c in comps])
                 return DecomposeOutcome(paths=tuple((G.label_of(v),) for v in combo),
                                         esd=esd)
     raise CapacityError(
-        f"decompose: no decomposition with |X| <= MAX_UNION_SIZE={MAX_UNION_SIZE}; "
-        f"best imbalance achieved: {best_imbalance}")
+        f"decompose: no decomposition with |X| <= MAX_UNION_SIZE={MAX_UNION_SIZE}")
+
+
+def light_components(adj_masks, alive: int, umask: int, cap: int):
+    """(0, the components of `alive` by lowest id) if each holds at most
+    `cap` vertices of `umask`, else (heavy, None), heavy a connected part
+    of a component that holds more.  Components grow breadth first from
+    the highest remaining id: lex order moves a candidate's last vertex
+    upward, so a heavy set among high ids stays clear of later ones longest."""
+    comps = []
+    rest = alive
+    while rest:
+        comp = frontier = 1 << rest.bit_length() - 1
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= adj_masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+            if (comp & umask).bit_count() > cap:
+                return comp, None
+        comps.append(comp)
+        rest &= ~comp
+    comps.sort(key=lambda c: c & -c)
+    return 0, comps
 
 
 def outcome_to_text(outcome: DecomposeOutcome) -> str:

@@ -214,17 +214,6 @@ def components_masks(adj_masks, alive: int) -> list:
     return comps
 
 
-def neighborhood_mask(adj_masks, mask: int) -> int:
-    """Union of adjacency masks over the vertices of `mask` (open N(mask))."""
-    out = 0
-    m = mask
-    while m:
-        b = m & -m
-        out |= adj_masks[b.bit_length() - 1]
-        m ^= b
-    return out & ~mask
-
-
 def sort_labels(labels) -> list:
     """Deterministic label ordering that tolerates mixed label types;
     integers sort numerically."""

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .border import MAX_LEAF_VERTICES, BorderProfile, brute_force_border, combine_esd
+from .border import (MAX_LEAF_TERMINALS, MAX_LEAF_VERTICES, BorderProfile,
+                     brute_force_border, combine_esd)
 from .bnb import iter_independent_sets
 from .decompose import decompose, validate_outcome
 from .errors import InputError, InvariantError
@@ -154,7 +155,7 @@ class Recursion:
         return result
 
     def is_leaf(self, Gp: WeightedGraph, T: frozenset) -> bool:
-        return Gp.n <= self.leaf_cap
+        return Gp.n <= self.leaf_cap and len(T) <= MAX_LEAF_TERMINALS
 
     def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
         raise NotImplementedError

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from itertools import combinations
 
-from stripmwis.esd import ExtendedStripDecomposition, validate_esd
-from stripmwis.graph import WeightedGraph, line_graph
+from stripmwis.decompose import DecomposeOutcome
+from stripmwis.errors import CapacityError
+from stripmwis.esd import ExtendedStripDecomposition, components_esd, validate_esd
+from stripmwis.graph import WeightedGraph, components_masks, line_graph
 
 
 def naive_find_sttt(G: WeightedGraph, t: int) -> bool:
@@ -219,3 +223,42 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def reference_decompose(G: WeightedGraph, U) -> DecomposeOutcome:
+    """The plain lex scan that `decompose` must agree with: every
+    candidate X, by increasing size and then lexicographically, gets a
+    full component search of G - N[X]; the first whose components each
+    hold at most ceil(|U|/2) vertices of U wins.  The budgets are read
+    from the decompose module at call time, so a test may lower them."""
+    dmod = sys.modules["stripmwis.decompose"]
+    adjm = G.adj_masks
+    full = (1 << G.n) - 1
+    umask = G.mask_of_labels(U)
+    cap = math.ceil(len(frozenset(U)) / 2)
+    examined = 0
+    for size in range(0, min(dmod.MAX_UNION_SIZE, G.n) + 1):
+        for combo in combinations(range(G.n), size):
+            examined += 1
+            if examined > dmod.MAX_CANDIDATES:
+                raise CapacityError("decompose: MAX_CANDIDATES")
+            removed = 0
+            for v in combo:
+                removed |= adjm[v] | 1 << v
+            comps = components_masks(adjm, full & ~removed)
+            if all((c & umask).bit_count() <= cap for c in comps):
+                return DecomposeOutcome(
+                    paths=tuple((G.label_of(v),) for v in combo),
+                    esd=components_esd([G.labels_of_mask(c) for c in comps]))
+    raise CapacityError("decompose: MAX_UNION_SIZE")
+
+
+def random_root_graph(rng: random.Random, m: int) -> WeightedGraph:
+    """m distinct random edges on 0.8 m + 2 vertices labelled 1..n, unit
+    weights; the root graphs of the benchmark's line-graph workloads."""
+    n = max(3, int(m * 0.8) + 2)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
+    return WeightedGraph(range(1, n + 1), [1] * n, sorted(edges))

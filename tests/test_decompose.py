@@ -1,7 +1,9 @@
 import math
 import random
+import re
 import sys
 
+import networkx as nx
 import pytest
 
 from stripmwis.decompose import (DecomposeOutcome, decompose, outcome_from_text,
@@ -9,7 +11,13 @@ from stripmwis.decompose import (DecomposeOutcome, decompose, outcome_from_text,
 from stripmwis.errors import CapacityError
 from stripmwis.esd import esd_to_text, particles
 from stripmwis.generate import generate_random_instance
-from stripmwis.graph import WeightedGraph
+from stripmwis.graph import WeightedGraph, line_graph
+
+from helpers import count_calls, random_root_graph, reference_decompose
+
+# The package's `decompose` attribute is the function, so the module
+# comes from sys.modules.
+decompose_module = sys.modules["stripmwis.decompose"]
 
 
 def path(n):
@@ -82,10 +90,8 @@ def test_path_count_cap_formula():
 
 
 def test_budget_exhaustion_raises_capacity(monkeypatch):
-    # a clique cannot be split into light components by removing nothing;
-    # the package's `decompose` attribute is the function, so the module
-    # comes from sys.modules
-    monkeypatch.setattr(sys.modules["stripmwis.decompose"], "MAX_UNION_SIZE", 0)
+    # a clique cannot be split into light components by removing nothing
+    monkeypatch.setattr(decompose_module, "MAX_UNION_SIZE", 0)
     K = WeightedGraph(range(8), [1] * 8,
                       [(i, j) for i in range(8) for j in range(i + 1, 8)])
     with pytest.raises(CapacityError, match=r"^decompose: .*MAX_UNION_SIZE=0"):
@@ -125,3 +131,60 @@ def test_empty_graph():
     out = decompose(G, set())
     assert out.paths == ()
     assert validate_outcome(G, set(), 2, out) == []
+
+
+def _corpus(rng):
+    """Random gnm graphs, cycles, paths, 3-regular graphs and line graphs,
+    each with U = V and with a random U."""
+    graphs = []
+    for _ in range(80):
+        n = rng.randint(4, 24)
+        m = rng.randint(n // 2, 3 * n)
+        g = nx.gnm_random_graph(n, m, seed=rng.randrange(10 ** 6))
+        graphs.append(WeightedGraph(range(n), [1] * n, g.edges()))
+        n = rng.randint(3, 40)
+        graphs.append(WeightedGraph(range(n), [1] * n, [(i, (i + 1) % n) for i in range(n)]))
+        n = rng.randint(1, 40)
+        graphs.append(WeightedGraph(range(n), [1] * n, [(i, i + 1) for i in range(n - 1)]))
+        n = 2 * rng.randint(2, 12)
+        g = nx.random_regular_graph(3, n, seed=rng.randrange(10 ** 6))
+        graphs.append(WeightedGraph(range(n), [1] * n, g.edges()))
+        graphs.append(line_graph(random_root_graph(rng, rng.randint(4, 24))))
+    for G in graphs:
+        yield G, G.label_set
+        yield G, frozenset(v for v in G.labels if rng.random() < 0.4)
+
+
+def _result(G, U, search):
+    try:
+        return outcome_to_text(search(G, U))
+    except CapacityError as exc:
+        return re.search(r"MAX_[A-Z_]+", str(exc)).group()
+
+
+@pytest.mark.parametrize("union_size, candidates", [(4, 400_000), (1, 400_000), (4, 30)])
+def test_decompose_matches_the_full_lex_scan(monkeypatch, union_size, candidates):
+    # Skipped candidates count against MAX_CANDIDATES, so the budgets
+    # stop both searches at the same candidate.
+    monkeypatch.setattr(decompose_module, "MAX_UNION_SIZE", union_size)
+    monkeypatch.setattr(decompose_module, "MAX_CANDIDATES", candidates)
+    stopped = 0
+    for G, U in _corpus(random.Random(union_size * 7 + candidates)):
+        want = _result(G, U, reference_decompose)
+        assert _result(G, U, decompose) == want
+        stopped += want.startswith("MAX_")
+    # the lowered budgets must stop some searches, or they check nothing
+    assert (stopped > 0) == ((union_size, candidates) != (4, 400_000))
+
+
+@pytest.mark.parametrize("kind, most", [("cycle", 200), ("path", 5)])
+def test_heavy_set_skips_most_component_searches(monkeypatch, kind, most):
+    # One component search per candidate would be 898 on the cycle, whose
+    # first balanced X is (0, 297), and 300 on the path.
+    n = 600
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if kind == "cycle" else [])
+    G = WeightedGraph(range(n), [1] * n, edges)
+    calls = count_calls(monkeypatch, decompose_module, "light_components")
+    out = decompose(G, G.label_set)
+    assert out.paths == (((0,), (297,)) if kind == "cycle" else ((298,),))
+    assert len(calls) <= most

@@ -42,6 +42,39 @@ def test_node_budget_guard(monkeypatch):
         mwis_bruteforce(G)
 
 
+def _exhaustive_mwis(adj, weights, alive):
+    # every subset of `alive`, each built from the one without its highest vertex
+    masks, values, independent = [0], [0], [True]
+    for v in range(len(weights)):
+        if alive >> v & 1:
+            for s in range(len(masks)):
+                masks.append(masks[s] | 1 << v)
+                values.append(values[s] + weights[v])
+                independent.append(independent[s] and not adj[v] & masks[s])
+    return max(w for w, ok in zip(values, independent) if ok)
+
+
+def test_max_weight_set_matches_exhaustive_enumeration():
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        weights = [rng.randint(0, 50) if rng.random() < 0.6 else 0 for _ in range(n)]
+        alive = rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
+        value, mask = bnb.max_weight_set(adj, weights, alive)
+        assert value == _exhaustive_mwis(adj, weights, alive)
+        assert mask & ~alive == 0
+        taken = [v for v in range(n) if mask >> v & 1]
+        assert all(not adj[v] & mask for v in taken)
+        assert sum(weights[v] for v in taken) == value
+
+
 def test_doubling_and_additivity():
     rng = random.Random(8)
     for _ in range(20):

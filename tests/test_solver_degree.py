@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from stripmwis.border import BorderProfile, brute_force_border
+from stripmwis.border import (MAX_LEAF_TERMINALS, MAX_LEAF_VERTICES, BorderProfile,
+                              brute_force_border)
 from stripmwis.decompose import DecomposeOutcome
 from stripmwis.errors import CapacityError, InvariantError
 from stripmwis.esd import ExtendedStripDecomposition
@@ -20,7 +21,7 @@ from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis
 from stripmwis.trace import TraceRecord
 
 from helpers import (count_calls, cycle_mwis, hub_caterpillar, random_graph,
-                     union_graph, weighted_cycle)
+                     random_root_graph, union_graph, weighted_cycle)
 
 
 def test_compute_ell_examples():
@@ -237,6 +238,26 @@ def test_default_config_on_a_line_graph_matches_matching():
         R.add_weighted_edges_from((u, v, ew[frozenset((u, v))]) for u, v in edges)
         assert value == sum(R[u][v]["weight"] for u, v in nx.max_weight_matching(R))
         assert trace.call_count > 1
+
+
+def test_leaf_with_too_many_terminals_is_split():
+    # At 66 root edges (structure seed 11) a call on at most 40 vertices
+    # gets 21 terminals, one more than the brute-force border takes; as a
+    # leaf it stopped the solve with a CapacityError.
+    nx = pytest.importorskip("networkx")
+    root = random_root_graph(random.Random(11), 66)
+    edges = [(root.label_of(u), root.label_of(v)) for u, v in root.edges_ids()]
+    wr = random.Random(1)
+    ew = {frozenset(e): wr.randint(1, 20) for e in edges}
+    L = line_graph(root, ew)
+    value, _, trace = mwis(L, DegreeSolverConfig(with_witnesses=True))
+    R = nx.Graph()
+    R.add_weighted_edges_from((u, v, ew[frozenset((u, v))]) for u, v in edges)
+    assert value == sum(R[u][v]["weight"] for u, v in nx.max_weight_matching(R))
+    calls = [r for r in trace.records if isinstance(r, TraceRecord)]
+    assert any(not r.leaf and r.n <= MAX_LEAF_VERTICES and r.terminals > MAX_LEAF_TERMINALS
+               for r in calls)
+    assert all(r.terminals <= MAX_LEAF_TERMINALS for r in calls if r.leaf)
 
 
 def _check_cell_witnesses(G, prof):
