@@ -17,7 +17,10 @@ paths; the component decomposition (one isolated pattern vertex per
 component) is then always rigid and valid.  A candidate that fails
 leaves a connected heavy set behind, and every later candidate whose
 removed set misses that set fails as well, so it is skipped without a
-component search.  The search gives up with a CapacityError beyond
+component search.  The heavy set grows from the highest alive id below
+the candidate's last vertex (the highest alive id if there is none): lex
+order replaces that vertex by higher ones, so the next candidates miss
+such a set longest.  The search gives up with a CapacityError beyond
 MAX_UNION_SIZE vertices in X or MAX_CANDIDATES candidate sets, skipped
 ones included.  Any implementation is accepted as long as its outcomes
 pass `validate_outcome`, which the solvers run on every outcome.
@@ -125,7 +128,9 @@ def decompose(G: WeightedGraph, U) -> DecomposeOutcome:
                 removed |= adjm[v] | 1 << v
             if heavy and not heavy & removed:
                 continue
-            heavy, comps = light_components(adjm, full & ~removed, umask, cap)
+            alive = full & ~removed
+            below = alive & (1 << combo[-1]) - 1 if combo else 0
+            heavy, comps = light_components(adjm, alive, umask, cap, below)
             if not heavy:
                 esd = components_esd([G.labels_of_mask(c) for c in comps])
                 return DecomposeOutcome(paths=tuple((G.label_of(v),) for v in combo),
@@ -134,16 +139,19 @@ def decompose(G: WeightedGraph, U) -> DecomposeOutcome:
         f"decompose: no decomposition with |X| <= MAX_UNION_SIZE={MAX_UNION_SIZE}")
 
 
-def light_components(adj_masks, alive: int, umask: int, cap: int):
+def light_components(adj_masks, alive: int, umask: int, cap: int, first: int):
     """(0, the components of `alive` by lowest id) if each holds at most
     `cap` vertices of `umask`, else (heavy, None), heavy a connected part
-    of a component that holds more.  Components grow breadth first from
-    the highest remaining id: lex order moves a candidate's last vertex
-    upward, so a heavy set among high ids stays clear of later ones longest."""
+    of a component that holds more.  Components grow breadth first, the
+    first from the highest id in `first` (a part of `alive`) unless it is
+    empty, every other one from the highest remaining id.  The decomposer
+    passes the alive ids below the candidate's last vertex: lex order
+    replaces that vertex by higher ones, so a heavy set grown just below
+    it stays clear of the next candidates longest."""
     comps = []
     rest = alive
     while rest:
-        comp = frontier = 1 << rest.bit_length() - 1
+        comp = frontier = 1 << (first or rest).bit_length() - 1
         while frontier:
             nxt = 0
             while frontier:
@@ -156,6 +164,7 @@ def light_components(adj_masks, alive: int, umask: int, cap: int):
                 return comp, None
         comps.append(comp)
         rest &= ~comp
+        first = 0
     comps.sort(key=lambda c: c & -c)
     return 0, comps
 

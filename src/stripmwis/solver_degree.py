@@ -130,6 +130,9 @@ class Recursion:
         # The theoretical leaf cap equals the terminal cap; the leaves run
         # on the brute-force border solver, so they never exceed its limit.
         leaf_cap = terminal_cap if cfg.leaf_cap_override is None else cfg.leaf_cap_override
+        if leaf_cap < 1:
+            # not even a single vertex would be a leaf, so no recursion ends
+            raise InputError(f"leaf cap must be at least 1, got {leaf_cap}")
         self.leaf_cap = min(leaf_cap, MAX_LEAF_VERTICES)
         self.depth_cap = max(1, 2 * math.ceil(math.log2(max(G.n, 2))))
         self.trace = RecursionTrace()

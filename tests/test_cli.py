@@ -334,6 +334,16 @@ def test_non_finite_ell_scale_exits_2(instance_file, capsys, scale):
     assert code == 2 and out == "" and "ell_scale must be finite" in err
 
 
+@pytest.mark.parametrize("algo", ["degree", "biclique"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_leaf_cap_below_one_exits_2(tmp_path, capsys, algo, cap):
+    path = tmp_path / "g.graph"
+    assert run_cli(["gen", "--family", "random", "--n", "45", "--delta", "3", "--seed", "3",
+                    "-o", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["solve", str(path), "--algo", algo, "--leaf-cap", cap], capsys)
+    assert code == 2 and out == "" and "leaf cap must be at least 1" in err
+
+
 def test_import_leaves_networkx_unloaded():
     # networkx is imported by the matching call and the bag split
     src = str(Path(stripmwis.__file__).resolve().parents[1])

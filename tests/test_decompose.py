@@ -24,8 +24,11 @@ def path(n):
     return WeightedGraph(range(1, n + 1), [1] * n, [(i, i + 1) for i in range(1, n)])
 
 
-def cycle(n):
-    return WeightedGraph(range(n), [1] * n, [(i, (i + 1) % n) for i in range(n)])
+def cycle(n, k=1):
+    """The k-th power of the cycle on 0..n-1: i ~ j iff their cyclic
+    distance is at most k."""
+    return WeightedGraph(range(n), [1] * n,
+                         [(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)])
 
 
 def test_balanced_components_need_no_removal():
@@ -153,6 +156,12 @@ def _corpus(rng):
     for G in graphs:
         yield G, G.label_set
         yield G, frozenset(v for v in G.labels if rng.random() < 0.4)
+    # cycle powers from their own generator, so the cases above stay as drawn
+    rng = random.Random(rng.random())
+    for _ in range(40):
+        G = cycle(rng.randint(6, 40), rng.choice((2, 3)))
+        yield G, G.label_set
+        yield G, frozenset(v for v in G.labels if rng.random() < 0.4)
 
 
 def _result(G, U, search):
@@ -177,14 +186,17 @@ def test_decompose_matches_the_full_lex_scan(monkeypatch, union_size, candidates
     assert (stopped > 0) == ((union_size, candidates) != (4, 400_000))
 
 
-@pytest.mark.parametrize("kind, most", [("cycle", 200), ("path", 5)])
+@pytest.mark.parametrize("kind, most", [("cycle", 10), ("path", 5), ("cycle-square", 10)])
 def test_heavy_set_skips_most_component_searches(monkeypatch, kind, most):
-    # One component search per candidate would be 898 on the cycle, whose
-    # first balanced X is (0, 297), and 300 on the path.
-    n = 600
-    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if kind == "cycle" else [])
-    G = WeightedGraph(range(n), [1] * n, edges)
+    # One component search per candidate would be 898 on the 600-cycle,
+    # whose first balanced X is (0, 297), and 300 on the 600-path.  Heavy
+    # sets grown from the highest id, which on a cycle touches id 0, take
+    # 156 searches on the cycle and 82 on the square of the 300-cycle.
+    G, paths = {"cycle": (cycle(600), ((0,), (297,))),
+                "path": (WeightedGraph(range(600), [1] * 600,
+                                       [(i, i + 1) for i in range(599)]), ((298,),)),
+                "cycle-square": (cycle(300, 2), ((0,), (145,)))}[kind]
     calls = count_calls(monkeypatch, decompose_module, "light_components")
     out = decompose(G, G.label_set)
-    assert out.paths == (((0,), (297,)) if kind == "cycle" else ((298,),))
+    assert out.paths == paths
     assert len(calls) <= most

@@ -6,7 +6,7 @@ import pytest
 from stripmwis.border import (MAX_LEAF_TERMINALS, MAX_LEAF_VERTICES, BorderProfile,
                               brute_force_border)
 from stripmwis.decompose import DecomposeOutcome
-from stripmwis.errors import CapacityError, InvariantError
+from stripmwis.errors import CapacityError, InputError, InvariantError
 from stripmwis.esd import ExtendedStripDecomposition
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 from stripmwis.graph import WeightedGraph, line_graph
@@ -219,6 +219,16 @@ def test_default_leaf_cap_fits_the_oracle_budget(n):
     value, _, trace = mwis(G)
     assert value == cycle_mwis(G.weights)
     assert trace.call_count > 1
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("solve, config", [(mwis, DegreeSolverConfig),
+                                           (mwis_biclique, BicliqueSolverConfig)])
+def test_leaf_cap_below_one_is_an_input_error(solve, config, cap):
+    # with no vertex a leaf the recursion could never end
+    G = weighted_cycle(random.Random(1), 60)
+    with pytest.raises(InputError, match="leaf cap must be at least 1"):
+        solve(G, config(leaf_cap_override=cap))
 
 
 def test_default_config_on_a_line_graph_matches_matching():
