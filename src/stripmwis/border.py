@@ -78,24 +78,6 @@ class BorderProfile:
     def cells(self):
         return enumerate(self.table)
 
-    def same_table(self, other: "BorderProfile") -> bool:
-        if set(self.terminals) != set(other.terminals):
-            return False
-        return all(v == other.table[other.mask_of(self.labels_of(m))]
-                   for m, v in self.cells())
-
-    def sanity_report(self, G: WeightedGraph) -> list:
-        """f(S) = -inf exactly for non-independent S; f(S) >= w(S) otherwise."""
-        out = []
-        for mask, val in self.cells():
-            labels = self.labels_of(mask)
-            indep = G.is_independent(labels)
-            if indep and (val is None or val < G.total_weight(labels)):
-                out.append(f"cell {mask:b}: independent subset valued {val}")
-            if not indep and val is not None:
-                out.append(f"cell {mask:b}: non-independent subset valued {val}")
-        return out
-
     @classmethod
     def of_terminals(cls, G: WeightedGraph, T, with_witnesses=False) -> "BorderProfile":
         """An empty profile over the terminals T of G, ordered by vertex id."""
@@ -118,25 +100,20 @@ def brute_force_border(G: WeightedGraph, T, with_witnesses=False) -> BorderProfi
     adjm = G.adj_masks
     weights = G.weights
     tids = G.ids_of(prof.terminals)
-    tmask = 0
-    for i in tids:
-        tmask |= 1 << i
-    rest = ((1 << G.n) - 1) & ~tmask
-
-    def rec(i, chosen, nbhd, submask, wsum):
-        if i == len(tids):
-            alive = rest & ~nbhd
-            best_w, best_m = bnb.max_weight_set(adjm, weights, alive)
-            wit = G.labels_of_mask(chosen | best_m) if with_witnesses else None
-            prof.update(submask, wsum + best_w, wit)
-            return
-        rec(i + 1, chosen, nbhd, submask, wsum)
-        v = tids[i]
-        b = 1 << v
-        if not (nbhd & b):
-            rec(i + 1, chosen | b, nbhd | adjm[v], submask | (1 << i), wsum + weights[v])
-
-    rec(0, 0, 0, 0, 0)
+    rest = ((1 << G.n) - 1) & ~G.mask_of_labels(prof.terminals)
+    for submask in bnb.iter_independent_sets(G.conflict_masks(tids)):
+        chosen = nbhd = wsum = 0
+        m = submask
+        while m:
+            b = m & -m
+            v = tids[b.bit_length() - 1]
+            chosen |= 1 << v
+            nbhd |= adjm[v]
+            wsum += weights[v]
+            m ^= b
+        best_w, best_m = bnb.max_weight_set(adjm, weights, rest & ~nbhd)
+        wit = G.labels_of_mask(chosen | best_m) if with_witnesses else None
+        prof.update(submask, wsum + best_w, wit)
     return prof
 
 
@@ -308,17 +285,8 @@ def combine_esd(G: WeightedGraph, T, D: ExtendedStripDecomposition,
                 f"profile terminals for {p.kind}{p.anchor} do not equal T cap A")
         lookup[_particle_key(p)] = (p, q)
 
-    tids = G.ids_of(prof.terminals)
-    conflicts = []
-    for v in tids:
-        c = 0
-        for j, u in enumerate(tids):
-            if u in G.adj[v]:
-                c |= 1 << j
-        conflicts.append(c)
-
     solved = {}   # a component's weighted edges -> its maximum-weight matching
-    for mask in bnb.iter_independent_sets(conflicts):
+    for mask in bnb.iter_independent_sets(G.conflict_masks(G.ids_of(prof.terminals))):
         trace = prof.labels_of(mask)
 
         def profile_of(p, trace=trace):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, InputError, ParseError
 from .esd import (ExtendedStripDecomposition, components_esd, esd_from_records,
-                  esd_to_text, particles, validate_esd)
+                  particles, validate_esd)
 from .fileio import fields, records
 from .graph import WeightedGraph
 
@@ -167,13 +167,6 @@ def light_components(adj_masks, alive: int, umask: int, cap: int, first: int):
         first = 0
     comps.sort(key=lambda c: c & -c)
     return 0, comps
-
-
-def outcome_to_text(outcome: DecomposeOutcome) -> str:
-    lines = [f"paths {len(outcome.paths)}"]
-    for p in outcome.paths:
-        lines.append("path " + " ".join(str(v) for v in p))
-    return "\n".join(lines) + "\n" + esd_to_text(outcome.esd)
 
 
 def outcome_from_text(text: str) -> DecomposeOutcome:

@@ -32,10 +32,6 @@ class Particle(NamedTuple):
     anchor: tuple
     members: frozenset
 
-    @property
-    def empty(self) -> bool:
-        return not self.members
-
 
 class ExtendedStripDecomposition:
     def __init__(self, pattern_vertices, pattern_edges, vertex_sets,
@@ -96,12 +92,6 @@ class ExtendedStripDecomposition:
         return self._triangles
 
     # -- eta accessors ---------------------------------------------------------
-
-    def eta_vertex(self, x) -> frozenset:
-        return self.vertex_sets[x]
-
-    def eta_edge(self, x, y) -> frozenset:
-        return self.edge_sets[(min(x, y), max(x, y))][0]
 
     def eta_end(self, x, y, end) -> frozenset:
         e = (min(x, y), max(x, y))
@@ -290,24 +280,8 @@ def components_esd(component_label_sets) -> ExtendedStripDecomposition:
 
 
 # -- interchange format -------------------------------------------------------
-
-def esd_to_text(D: ExtendedStripDecomposition) -> str:
-    def fmt(s):
-        return " ".join(str(v) for v in sorted(s, key=lambda l: (str(type(l)), repr(l))))
-
-    lines = [f"h {len(D.pattern_vertices)} {len(D.pattern_edges)}"]
-    for x, y in D.pattern_edges:
-        lines.append(f"he {x} {y}")
-    for x in D.pattern_vertices:
-        lines.append(f"eta v {x} : {fmt(D.vertex_sets[x])}")
-    for (x, y), (full, ea, eb) in sorted(D.edge_sets.items()):
-        lines.append(f"eta e {x} {y} : {fmt(full)} | {fmt(ea)} | {fmt(eb)}")
-    for tr in D.triangles():
-        s = D.eta_triangle(tr)
-        if s:
-            lines.append(f"eta t {tr[0]} {tr[1]} {tr[2]} : {fmt(s)}")
-    return "\n".join(lines) + "\n"
-
+# `check --esd` and the decomposer outcome format read it; the program
+# writes no decomposition, and `tests/helpers.py` holds the writer.
 
 def esd_from_text(text: str) -> ExtendedStripDecomposition:
     """Parse the interchange format; eta entries hold integer vertex labels."""

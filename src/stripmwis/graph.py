@@ -10,7 +10,7 @@ bitmask adjacency are an internal representation for the hot loops.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import InputError
 
@@ -126,6 +126,12 @@ class WeightedGraph:
             self._adj_masks = tuple(masks)
         return self._adj_masks
 
+    def conflict_masks(self, ids) -> list:
+        """Per id in `ids`, its neighbors among `ids` as bits over positions
+        in `ids`: the conflicts that `bnb.iter_independent_sets` reads."""
+        pos = {v: j for j, v in enumerate(ids)}
+        return [sum(1 << pos[u] for u in self.adj[v] if u in pos) for v in ids]
+
     def mask_of_labels(self, labels) -> int:
         m = 0
         for l in labels:
@@ -158,16 +164,6 @@ class WeightedGraph:
         """Connected components as label frozensets, ordered by smallest id."""
         masks = components_masks(self.adj_masks, (1 << self.n) - 1)
         return [self.labels_of_mask(m) for m in masks]
-
-    def equal_to(self, other: "WeightedGraph") -> bool:
-        """Same labelled graph: identical label set, weights, and edges."""
-        if self.label_set != other.label_set:
-            return False
-        if any(self.weight_of(l) != other.weight_of(l) for l in self.labels):
-            return False
-        mine = {frozenset((self.labels[u], self.labels[v])) for u, v in self.edges_ids()}
-        theirs = {frozenset((other.labels[u], other.labels[v])) for u, v in other.edges_ids()}
-        return mine == theirs
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.edge_count()})"

@@ -26,8 +26,7 @@ from .bnb import iter_independent_sets
 from .errors import InputError, InvariantError
 from .esd import particles, restrict_esd
 from .graph import WeightedGraph
-from .solver_degree import (Recursion, SolveResult, compute_ell, fold, run,
-                            strip_parts, unwrap)
+from .solver_degree import Recursion, SolveResult, compute_ell, fold, run, unwrap
 from .trace import BranchRecord, TraceRecord
 from .treedec import (TreeDecomposition, build_weissauer, completion,
                       high_degree_vertices, tree_sides)
@@ -135,7 +134,10 @@ class _BicliqueSolver(Recursion):
     def __init__(self, G: WeightedGraph, cfg: BicliqueSolverConfig):
         self.k = cfg.k
         super().__init__(G, cfg, 32 * cfg.k ** 5 * compute_ell(G.n, cfg.t))
-        self.u_rule_cap = (3 * self.leaf_cap) // 4
+        # At least 2: leaf caps 1 and 2 would give 0 or 1, and then a path
+        # with a terminal at each end balances on T at every level, loses
+        # two vertices per level and overruns the depth cap.
+        self.u_rule_cap = max(2, (3 * self.leaf_cap) // 4)
 
     def is_leaf(self, Gp: WeightedGraph, T: frozenset) -> bool:
         # A call without (or with a single) nonterminal vertex is a leaf.
@@ -151,18 +153,9 @@ class _BicliqueSolver(Recursion):
 
         result = BorderProfile.of_terminals(Gp, T, self.cfg.with_witnesses)
 
-        qlabels = list(ctx.q)
-        conflicts = []
-        for v in qlabels:
-            nb = Gp.neighbors_labels(v)
-            c = 0
-            for j, u in enumerate(qlabels):
-                if u in nb:
-                    c |= 1 << j
-            conflicts.append(c)
         first_branch = True
-        for jmask in iter_independent_sets(conflicts):
-            J = frozenset(qlabels[i] for i in range(len(qlabels)) if (jmask >> i) & 1)
+        for jmask in iter_independent_sets(Gp.conflict_masks(Gp.ids_of(ctx.q))):
+            J = frozenset(ctx.q[i] for i in range(len(ctx.q)) if (jmask >> i) & 1)
             self._branch(Gp, T, U, ukind, ctx, J, jmask, depth, result, first_branch)
             first_branch = False
         return result
@@ -212,11 +205,6 @@ class _BicliqueSolver(Recursion):
             if not (nc & gy_labels) <= TY:
                 raise InvariantError("touched interface missing from the strip terminals")
 
-        profs = {}
-        for p in particles(DY):
-            sub = GY.subgraph(p.members)
-            profs[p] = self.solve(sub, TY & p.members, depth + 1)
-
         # Fold into the parent profile: maximize, over independent I in
         # (T cap V(G^J)) u T^Y u Y^J, w(J) + w(I cap Y^J) + f_Y(I cap T^Y)
         # + sum over touched C of (f_C(N[C] cap I) - w(I cap N(C))),
@@ -226,6 +214,5 @@ class _BicliqueSolver(Recursion):
             for v in ctx.components[idx][1]:
                 weight[v] = weight.get(v, 0) - Gp.weight_of(v)
         fold(result, Gp, (T & vj) | TY | y, weight, y,
-             strip_parts(GY, TY, DY, profs, self.cfg.with_witnesses)
-             + [comp_profiles[idx] for idx in touched],
+             self.strip_parts(GY, TY, DY, depth) + [comp_profiles[idx] for idx in touched],
              base=Gp.total_weight(J), base_cell=result.mask_of(J & T), base_witness=J)

@@ -7,8 +7,9 @@ subgraph of the input, so that one search covers them all.
 
 Each call either brute-forces a small induced subgraph or removes the
 closed neighborhood of a short-path family X, recurses on the particles
-of the balanced strip decomposition of the remainder, and folds the
-particle profiles and the removed part together.  The particles of an
+of the balanced strip decomposition of the remainder
+(`Recursion.strip_parts`, which the biclique solver shares), and folds
+the particle profiles and the removed part together.  The particles of an
 edgeless strip pattern, which is all the reference decomposer emits, are
 its pairwise non-adjacent vertex classes, so their profiles are fold
 parts as they are; a pattern with edges is combined by the matching step
@@ -125,6 +126,8 @@ class Recursion:
     solver's own `split` step."""
 
     def __init__(self, G: WeightedGraph, cfg, terminal_cap: int):
+        if cfg.t < 1:
+            raise InputError("t must be a positive integer")
         self.cfg = cfg
         self.terminal_cap = terminal_cap
         # The theoretical leaf cap equals the terminal cap; the leaves run
@@ -162,6 +165,22 @@ class Recursion:
 
     def split(self, Gp: WeightedGraph, T: frozenset, depth: int) -> BorderProfile:
         raise NotImplementedError
+
+    def strip_parts(self, H: WeightedGraph, TH: frozenset, D, depth: int) -> list:
+        """Recurse on every particle of the strip decomposition D of H and
+        return fold parts that stand for the profile of (H, TH).
+
+        The particles of an edgeless pattern are its vertex classes: they
+        partition V(H) and no edge joins two of them, so every auxiliary
+        graph of the combination step is empty and each cell is the sum
+        of the particle cells.  The fold forms that sum itself, so the
+        particle profiles are its parts.  A pattern with edges is combined
+        first."""
+        profiles = {p: self.solve(H.subgraph(p.members), TH & p.members, depth + 1)
+                    for p in particles(D)}
+        if not D.pattern_edges:
+            return list(profiles.values())
+        return [combine_esd(H, TH, D, profiles, with_witnesses=self.cfg.with_witnesses)]
 
     def decompose(self, G: WeightedGraph, U):
         outcome = decompose(G, U)
@@ -298,20 +317,6 @@ def _subset_max(table, bits: int):
     return best, arg
 
 
-def strip_parts(G: WeightedGraph, T, D, profiles, with_witnesses: bool) -> list:
-    """Fold parts that stand for the profile of (G, T) over the strip
-    decomposition D, given the profile of every particle of D.
-
-    The particles of an edgeless pattern are its vertex classes: they
-    partition V(G) and no edge joins two of them, so every auxiliary
-    graph of the combination step is empty and each cell is the sum of
-    the particle cells.  The fold forms that sum itself, so the particle
-    profiles are its parts.  A pattern with edges is combined first."""
-    if not D.pattern_edges:
-        return list(profiles.values())
-    return [combine_esd(G, T, D, profiles, with_witnesses=with_witnesses)]
-
-
 def _labels_of(mask: int, labels):
     return (labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -348,11 +353,9 @@ class _DegreeSolver(Recursion):
             raise InvariantError(f"particle fan-out {fanout} exceeds {cap}")
 
         self.trace.add(TraceRecord(depth, Gp.n, len(T), ukind, len(X), len(parts), False))
-        profiles = {p: self.solve(Gstar.subgraph(p.members), Tstar & p.members, depth + 1)
-                    for p in parts}
         # Fold the removed closed neighborhood back in: maximize
         # w(I \ T*) + f*(I cap T*) into the cell I cap T.
         result = BorderProfile.of_terminals(Gp, T, self.cfg.with_witnesses)
         fold(result, Gp, Tstar | closed, {v: Gp.weight_of(v) for v in closed}, closed,
-             strip_parts(Gstar, Tstar, D, profiles, self.cfg.with_witnesses))
+             self.strip_parts(Gstar, Tstar, D, depth))
         return result

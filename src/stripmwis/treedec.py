@@ -225,16 +225,7 @@ def _find_split(H, high, k, bags, neighbors, node):
 
 
 # -- text format ---------------------------------------------------------------
-
-def td_to_text(td: TreeDecomposition) -> str:
-    lines = [f"t {len(td.nodes)}"]
-    for node in td.nodes:
-        body = " ".join(str(v) for v in sorted(td.bags[node], key=repr))
-        lines.append(f"b {node} : {body}".rstrip())
-    for s, t in td.tree_edges:
-        lines.append(f"te {s} {t}")
-    return "\n".join(lines) + "\n"
-
+# `check --td` reads it; the writer is a test helper (`tests/helpers.py`).
 
 def td_from_text(text: str) -> TreeDecomposition:
     """Parse the text format: a header 't <bags>', one line 'b <node> :

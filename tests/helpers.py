@@ -11,6 +11,7 @@ from stripmwis.decompose import DecomposeOutcome
 from stripmwis.errors import CapacityError
 from stripmwis.esd import ExtendedStripDecomposition, components_esd, validate_esd
 from stripmwis.graph import WeightedGraph, components_masks, line_graph
+from stripmwis.treedec import TreeDecomposition
 
 
 def naive_find_sttt(G: WeightedGraph, t: int) -> bool:
@@ -112,7 +113,7 @@ def random_esd_instance(rng: random.Random, max_n: int = 14):
     for x, y in hedges:
         for end in (x, y):
             for u in D.eta_end(x, y, end):
-                for v in D.eta_vertex(end):
+                for v in D.vertex_sets[end]:
                     add(u, v, 0.45)
     for tr in tris:
         x, y, z = tr
@@ -262,3 +263,66 @@ def random_root_graph(rng: random.Random, m: int) -> WeightedGraph:
         u, v = rng.sample(range(1, n + 1), 2)
         edges.add((min(u, v), max(u, v)))
     return WeightedGraph(range(1, n + 1), [1] * n, sorted(edges))
+
+
+def profile_sanity(G: WeightedGraph, prof) -> list:
+    """Check a profile against the definition: f(S) = -inf exactly for
+    non-independent S, and f(S) >= w(S) otherwise."""
+    out = []
+    for mask, val in prof.cells():
+        labels = prof.labels_of(mask)
+        indep = G.is_independent(labels)
+        if indep and (val is None or val < G.total_weight(labels)):
+            out.append(f"cell {mask:b}: independent subset valued {val}")
+        if not indep and val is not None:
+            out.append(f"cell {mask:b}: non-independent subset valued {val}")
+    return out
+
+
+def same_graph(G: WeightedGraph, H: WeightedGraph) -> bool:
+    """Same labelled graph: identical label set, weights, and edges."""
+    if G.label_set != H.label_set:
+        return False
+    if any(G.weight_of(l) != H.weight_of(l) for l in G.labels):
+        return False
+    mine = {frozenset((G.labels[u], G.labels[v])) for u, v in G.edges_ids()}
+    theirs = {frozenset((H.labels[u], H.labels[v])) for u, v in H.edges_ids()}
+    return mine == theirs
+
+
+# -- writers of the formats that `esd_from_text`, `outcome_from_text` and
+# `td_from_text` read ------------------------------------------------------
+
+def esd_to_text(D: ExtendedStripDecomposition) -> str:
+    def fmt(s):
+        return " ".join(str(v) for v in sorted(s, key=lambda l: (str(type(l)), repr(l))))
+
+    lines = [f"h {len(D.pattern_vertices)} {len(D.pattern_edges)}"]
+    for x, y in D.pattern_edges:
+        lines.append(f"he {x} {y}")
+    for x in D.pattern_vertices:
+        lines.append(f"eta v {x} : {fmt(D.vertex_sets[x])}")
+    for (x, y), (full, ea, eb) in sorted(D.edge_sets.items()):
+        lines.append(f"eta e {x} {y} : {fmt(full)} | {fmt(ea)} | {fmt(eb)}")
+    for tr in D.triangles():
+        s = D.eta_triangle(tr)
+        if s:
+            lines.append(f"eta t {tr[0]} {tr[1]} {tr[2]} : {fmt(s)}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome_to_text(outcome: DecomposeOutcome) -> str:
+    lines = [f"paths {len(outcome.paths)}"]
+    for p in outcome.paths:
+        lines.append("path " + " ".join(str(v) for v in p))
+    return "\n".join(lines) + "\n" + esd_to_text(outcome.esd)
+
+
+def td_to_text(td: TreeDecomposition) -> str:
+    lines = [f"t {len(td.nodes)}"]
+    for node in td.nodes:
+        body = " ".join(str(v) for v in sorted(td.bags[node], key=repr))
+        lines.append(f"b {node} : {body}".rstrip())
+    for s, t in td.tree_edges:
+        lines.append(f"te {s} {t}")
+    return "\n".join(lines) + "\n"

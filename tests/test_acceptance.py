@@ -19,15 +19,15 @@ from stripmwis.esd import (check_pattern_degree, components_esd, occurrence_boun
 from stripmwis.generate import generate_random_instance
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, matching_bruteforce, max_weight_matching
-from stripmwis.oracle import mwis_bruteforce
+from stripmwis.oracle import mwis_bruteforce, verify_solution
 from stripmwis.patterns import contains_biclique_subgraph, find_induced_sttt
 from stripmwis.solver_biclique import BicliqueSolverConfig, mwis_biclique
 from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, mwis,
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import (hub_caterpillar, random_esd_instance, random_graph,
-                     union_graph, windmill_caterpillar)
+from helpers import (hub_caterpillar, profile_sanity, random_esd_instance,
+                     random_graph, union_graph, windmill_caterpillar)
 
 ELL_SCALE = 0.003  # makes ell = 1 for n <= 40, t = 2 (leaf cap 4 * Delta^2)
 
@@ -126,11 +126,10 @@ def test_criterion_1_combination_oracle_equivalence():
                                        with_witnesses=True)
                  for p in particles(D)}
         combined = combine_esd(G, T, D, profs, with_witnesses=True)
-        want = brute_force_border(G, T)
-        if not combined.same_table(want):
+        if verify_solution(G, T, combined):
             _report(1, "combination-step oracle equivalence", False,
                     f"mismatch after {cases} cases")
-        assert combined.sanity_report(G) == []
+        assert profile_sanity(G, combined) == []
         cases += 1
     # hand-built fixtures ride along
     for G, D in _hand_fixtures():
@@ -291,9 +290,9 @@ def test_criterion_8_profile_sanity():
         cfg = DegreeSolverConfig(t=2, ell_scale=ELL_SCALE, leaf_cap_override=10)
         res = solve_degree(G, T, cfg)
         assert not res.found_witness
-        if res.profile.sanity_report(G):
+        if profile_sanity(G, res.profile):
             _report(8, "profile sanity", False, f"instance {seed}")
-        if not res.profile.same_table(brute_force_border(G, T)):
+        if verify_solution(G, T, res.profile):
             _report(8, "profile sanity", False, f"profile mismatch {seed}")
         checked += 1
     # leaf profiles ride along
@@ -301,6 +300,6 @@ def test_criterion_8_profile_sanity():
         G = random_graph(rng, rng.randint(0, 12), 0.3)
         T = frozenset(rng.sample(list(G.labels), min(G.n, 4)))
         prof = brute_force_border(G, T)
-        assert prof.sanity_report(G) == []
+        assert profile_sanity(G, prof) == []
         checked += 1
     _report(8, "profile sanity", True, f"({checked} profiles, {time.time() - start:.1f}s)")

@@ -14,7 +14,8 @@ from stripmwis.cli import main
 from stripmwis.fileio import read_graph, write_graph
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 
-from helpers import count_calls, cycle_mwis, weighted_cycle
+from helpers import (count_calls, cycle_mwis, esd_to_text, outcome_to_text, same_graph,
+                     td_to_text, weighted_cycle)
 
 
 def run_cli(args, capsys):
@@ -174,7 +175,7 @@ def test_gen_linegraph_stdout_is_one_graph(tmp_path, capsys):
     assert code == 0
     out_file = tmp_path / "l.graph"
     run_cli(args + ["-o", str(out_file)], capsys)
-    assert read_graph(out).equal_to(read_graph(out_file.read_text()))
+    assert same_graph(read_graph(out), read_graph(out_file.read_text()))
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -187,9 +188,9 @@ def test_gen_deterministic(tmp_path, capsys):
 
 
 def test_check_verbs(tmp_path, capsys):
-    from stripmwis.decompose import decompose, outcome_to_text
-    from stripmwis.esd import components_esd, esd_to_text
-    from stripmwis.treedec import TreeDecomposition, td_to_text
+    from stripmwis.decompose import decompose
+    from stripmwis.esd import components_esd
+    from stripmwis.treedec import TreeDecomposition
 
     G = generate_random_instance(16, 3, 2, 7)
     gpath = tmp_path / "g.graph"
@@ -342,6 +343,15 @@ def test_leaf_cap_below_one_exits_2(tmp_path, capsys, algo, cap):
                     "-o", str(path)], capsys)[0] == 0
     code, out, err = run_cli(["solve", str(path), "--algo", algo, "--leaf-cap", cap], capsys)
     assert code == 2 and out == "" and "leaf cap must be at least 1" in err
+
+
+@pytest.mark.parametrize("algo", ["degree", "biclique"])
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_t_below_one_exits_2_on_a_root_leaf(instance_file, capsys, algo, t):
+    # 24 vertices: the root is a leaf, so no claw search reads t
+    path, _ = instance_file
+    code, out, err = run_cli(["solve", str(path), "--algo", algo, "--t", t], capsys)
+    assert code == 2 and out == "" and "t must be a positive integer" in err
 
 
 def test_import_leaves_networkx_unloaded():

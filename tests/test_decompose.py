@@ -7,13 +7,14 @@ import networkx as nx
 import pytest
 
 from stripmwis.decompose import (DecomposeOutcome, decompose, outcome_from_text,
-                                 outcome_to_text, path_count_cap, validate_outcome)
+                                 path_count_cap, validate_outcome)
 from stripmwis.errors import CapacityError
-from stripmwis.esd import esd_to_text, particles
+from stripmwis.esd import particles
 from stripmwis.generate import generate_random_instance
 from stripmwis.graph import WeightedGraph, line_graph
 
-from helpers import count_calls, random_root_graph, reference_decompose
+from helpers import (count_calls, esd_to_text, outcome_to_text, random_root_graph,
+                     reference_decompose)
 
 # The package's `decompose` attribute is the function, so the module
 # comes from sys.modules.

@@ -5,12 +5,12 @@ import pytest
 from stripmwis.errors import ContractViolation, InputError
 from stripmwis.esd import (EDGE_INTERIOR, FULL_EDGE, HALF_EDGE, TRIANGLE,
                            VERTEX, ExtendedStripDecomposition, check_pattern_degree,
-                           components_esd, esd_from_text, esd_to_text,
+                           components_esd, esd_from_text,
                            occurrence_bound, particles, restrict_esd,
                            validate_esd)
 from stripmwis.graph import WeightedGraph
 
-from helpers import random_esd_instance
+from helpers import esd_to_text, random_esd_instance
 
 
 def single_edge_fixture():
@@ -33,8 +33,8 @@ def test_single_edge_esd():
     G, D = single_edge_fixture()
     assert validate_esd(G, D, require_rigid=True) == []
     by_kind = {(p.kind, p.anchor): p for p in particles(D)}
-    assert by_kind[(VERTEX, (0,))].empty
-    assert by_kind[(EDGE_INTERIOR, (0, 1))].empty
+    assert not by_kind[(VERTEX, (0,))].members
+    assert not by_kind[(EDGE_INTERIOR, (0, 1))].members
     assert by_kind[(HALF_EDGE, ((0, 1), 0))].members == {"u"}
     assert by_kind[(HALF_EDGE, ((0, 1), 1))].members == {"v"}
     assert by_kind[(FULL_EDGE, (0, 1))].members == {"u", "v"}
@@ -104,7 +104,7 @@ def test_restrict_identity_and_subset():
     R = restrict_esd(D, sub)
     assert validate_esd(sub, R) == []
     assert validate_esd(sub, R, require_rigid=True) != []  # eta(e, 1) now empty
-    assert R.eta_edge(0, 1) == {"u"}
+    assert R.edge_sets[(0, 1)][0] == {"u"}
 
 
 def test_restrict_trivial():
@@ -112,7 +112,7 @@ def test_restrict_trivial():
     D = components_esd([G.label_set])
     sub = G.subgraph({0, 1})
     R = restrict_esd(D, sub)
-    assert R.eta_vertex(0) == {0, 1}
+    assert R.vertex_sets[0] == {0, 1}
 
 
 def test_restrict_rejects_foreign_host():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from stripmwis.errors import InputError
 from stripmwis.graph import WeightedGraph, line_graph
 
-from helpers import random_graph
+from helpers import random_graph, same_graph
 import random
 
 
@@ -34,7 +34,7 @@ def test_induced_subgraph_restriction():
 
 def test_induced_subgraph_identity_and_empty():
     G = triangle()
-    assert G.subgraph(G.label_set).equal_to(G)
+    assert same_graph(G.subgraph(G.label_set), G)
     empty = G.subgraph(set())
     assert empty.n == 0 and empty.edge_count() == 0
 

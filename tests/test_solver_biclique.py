@@ -8,11 +8,10 @@ import pytest
 
 import stripmwis
 import stripmwis.border as border
-from stripmwis.border import brute_force_border
 from stripmwis.errors import CapacityError, InputError
 from stripmwis.generate import generate_random_instance
 from stripmwis.graph import WeightedGraph
-from stripmwis.oracle import mwis_bruteforce
+from stripmwis.oracle import mwis_bruteforce, verify_solution
 from stripmwis.patterns import (contains_biclique_subgraph, find_induced_sttt,
                                 witness_violations)
 from stripmwis.solver_biclique import (BicliqueSolverConfig, choose_sink_node,
@@ -20,8 +19,8 @@ from stripmwis.solver_biclique import (BicliqueSolverConfig, choose_sink_node,
 from stripmwis.trace import BranchRecord
 from stripmwis.treedec import TreeDecomposition, build_weissauer
 
-from helpers import (count_calls, cycle_mwis, hub_caterpillar, union_graph,
-                     weighted_cycle, windmill_caterpillar)
+from helpers import (count_calls, cycle_mwis, hub_caterpillar, profile_sanity,
+                     union_graph, weighted_cycle, windmill_caterpillar)
 
 
 def test_config_requires_k_at_least_two():
@@ -101,8 +100,8 @@ def test_profile_with_terminals_matches_exhaustive():
         cfg = BicliqueSolverConfig(t=2, k=2, leaf_cap_override=12)
         res = solve_biclique(G, T, cfg)
         assert not res.found_witness
-        assert res.profile.same_table(brute_force_border(G, T))
-        assert res.profile.sanity_report(G) == []
+        assert verify_solution(G, T, res.profile) == []
+        assert profile_sanity(G, res.profile) == []
 
 
 def test_profile_terminals_inside_touched_components():
@@ -117,7 +116,7 @@ def test_profile_terminals_inside_touched_components():
                                    with_witnesses=True)
         res = solve_biclique(G, T, cfg)
         assert not res.found_witness
-        assert res.profile.same_table(brute_force_border(G, T))
+        assert verify_solution(G, T, res.profile) == []
 
 
 def test_all_terminal_call_is_leaf():
@@ -145,7 +144,7 @@ def test_terminal_balancing_rule_engages():
                       if isinstance(r, TraceRecord) and not r.leaf), None)
         if first is None or first.u_kind != "T":
             continue
-        assert res.profile.same_table(brute_force_border(G, T))
+        assert verify_solution(G, T, res.profile) == []
         hit += 1
         if hit >= 2:
             break
@@ -187,6 +186,18 @@ def test_default_leaf_cap_fits_the_oracle_budget(n):
     G = weighted_cycle(random.Random(n), n)
     value, _, trace = mwis_biclique(G, BicliqueSolverConfig(k=3))
     assert value == cycle_mwis(G.weights)
+    assert trace.call_count > 1
+
+
+@pytest.mark.parametrize("n", [60, 90])
+@pytest.mark.parametrize("cap", [1, 2])
+def test_leaf_caps_below_three_solve_long_cycles(n, cap):
+    # with U = T below a cap of 3, a path with a terminal at each end
+    # lost two vertices per level and overran the depth cap
+    G = weighted_cycle(random.Random(1), n)
+    cfg = BicliqueSolverConfig(k=3, leaf_cap_override=cap, with_witnesses=True)
+    value, witness, trace = mwis_biclique(G, cfg)
+    assert value == cycle_mwis(G.weights) == G.total_weight(witness)
     assert trace.call_count > 1
 
 

@@ -11,7 +11,7 @@ from stripmwis.esd import ExtendedStripDecomposition
 from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 from stripmwis.graph import WeightedGraph, line_graph
 from stripmwis.matching import AuxGraph, max_weight_matching
-from stripmwis.oracle import mwis_bruteforce
+from stripmwis.oracle import mwis_bruteforce, verify_solution
 import stripmwis.bnb as bnb
 import stripmwis.border as border
 import stripmwis.solver_degree as solver_degree
@@ -20,8 +20,8 @@ from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import (count_calls, cycle_mwis, hub_caterpillar, random_graph,
-                     random_root_graph, union_graph, weighted_cycle)
+from helpers import (count_calls, cycle_mwis, hub_caterpillar, profile_sanity,
+                     random_graph, random_root_graph, union_graph, weighted_cycle)
 
 
 def test_compute_ell_examples():
@@ -90,7 +90,7 @@ def test_patterns_with_edges_go_through_the_combination_step(monkeypatch, seed):
     calls = count_calls(monkeypatch, solver_degree, "combine_esd")
     cfg = DegreeSolverConfig(t=2, leaf_cap_override=4, with_witnesses=True)
     T = frozenset(rng.sample(list(L.labels), 6))
-    assert solve_degree(L, T, cfg).profile.same_table(brute_force_border(L, T))
+    assert verify_solution(L, T, solve_degree(L, T, cfg).profile) == []
     value, _, _ = mwis(L, cfg)
     assert value == sum(ew[frozenset(e)] for e in nx.max_weight_matching(
         nx.Graph([(u, v, {"weight": ew[frozenset((u, v))]}) for u, v in R.edges])))
@@ -105,8 +105,8 @@ def test_profile_with_terminals_matches_exhaustive():
         cfg = DegreeSolverConfig(t=2, leaf_cap_override=10)
         res = solve_degree(G, T, cfg)
         assert not res.found_witness
-        assert res.profile.same_table(brute_force_border(G, T))
-        assert res.profile.sanity_report(G) == []
+        assert verify_solution(G, T, res.profile) == []
+        assert profile_sanity(G, res.profile) == []
 
 
 def test_terminal_invariant_enforced():
@@ -195,7 +195,7 @@ def test_terminal_balancing_rule_engages():
         first = next(r for r in res.trace.records if isinstance(r, TraceRecord))
         if first.u_kind != "T":
             continue
-        assert res.profile.same_table(brute_force_border(G, T))
+        assert verify_solution(G, T, res.profile) == []
         hit += 1
         if hit >= 3:
             break
@@ -229,6 +229,17 @@ def test_leaf_cap_below_one_is_an_input_error(solve, config, cap):
     G = weighted_cycle(random.Random(1), 60)
     with pytest.raises(InputError, match="leaf cap must be at least 1"):
         solve(G, config(leaf_cap_override=cap))
+
+
+@pytest.mark.parametrize("n", [10, 60])
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("solve, config", [(mwis, DegreeSolverConfig),
+                                           (mwis_biclique, BicliqueSolverConfig)])
+def test_t_below_one_is_an_input_error(solve, config, t, n):
+    # at n = 10 the root is a leaf and searches no claw
+    G = weighted_cycle(random.Random(1), n)
+    with pytest.raises(InputError, match="t must be a positive integer"):
+        solve(G, config(t=t))
 
 
 def test_default_config_on_a_line_graph_matches_matching():
@@ -297,7 +308,7 @@ def test_fold_degree_shape_matches_exhaustive():
         result = BorderProfile(_ordered(G, T), with_witnesses=True)
         fold(result, G, Tstar | closed, {v: G.weight_of(v) for v in closed}, closed,
              [fstar])
-        assert result.same_table(brute_force_border(G, T))
+        assert verify_solution(G, T, result) == []
         _check_cell_witnesses(G, result)
 
 
