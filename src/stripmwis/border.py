@@ -59,14 +59,6 @@ class BorderProfile:
         return frozenset(self.terminals[i] for i in range(len(self.terminals))
                          if (mask >> i) & 1)
 
-    def value(self, labels):
-        return self.table[self.mask_of(labels)]
-
-    def witness(self, labels):
-        if self.witnesses is None:
-            return None
-        return self.witnesses[self.mask_of(labels)]
-
     def update(self, mask: int, weight: int, witness=None):
         """Keep the cell maximum; first writer wins ties."""
         cur = self.table[mask]

@@ -6,6 +6,12 @@ so vertex sets (terminals, separators, decomposition classes) can be
 intersected across different induced subgraphs of a common root graph.
 All public set-valued arguments and results are label sets; ids and the
 bitmask adjacency are an internal representation for the hot loops.
+
+Graphs are never mutated.  A subgraph is built in ids from its parent,
+which has already checked labels, weights and edges; the subgraph on
+every vertex is the graph itself, and each graph keeps the last subgraph
+it built until it is asked for again, so that the remainder a
+decomposition check builds is the one the solver then recurses on.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from .errors import InputError
 
 
 class WeightedGraph:
-    __slots__ = ("n", "labels", "weights", "adj", "_label_ids", "_adj_masks")
+    __slots__ = ("n", "labels", "weights", "adj", "_label_ids", "_adj_masks",
+                 "_label_set", "_last_subgraph")
 
     def __init__(self, labels, weights, edges):
         """Build a graph from a label sequence, parallel weights, and label pairs."""
@@ -39,6 +46,8 @@ class WeightedGraph:
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
         self._adj_masks = None
+        self._label_set = None
+        self._last_subgraph = None
 
     # -- identity -----------------------------------------------------------
 
@@ -62,7 +71,9 @@ class WeightedGraph:
 
     @property
     def label_set(self) -> frozenset:
-        return frozenset(self.labels)
+        if self._label_set is None:
+            self._label_set = frozenset(self.labels)
+        return self._label_set
 
     # -- basic queries -------------------------------------------------------
 
@@ -149,16 +160,37 @@ class WeightedGraph:
     # -- derived graphs ------------------------------------------------------
 
     def subgraph(self, labels) -> "WeightedGraph":
-        keep = set(self.ids_of(labels))
-        order = [i for i in range(self.n) if i in keep]
-        labs = [self.labels[i] for i in order]
-        ws = [self.weights[i] for i in order]
-        es = []
-        for i in order:
-            for j in self.adj[i]:
-                if j in keep and i < j:
-                    es.append((self.labels[i], self.labels[j]))
-        return WeightedGraph(labs, ws, es)
+        """The subgraph induced by `labels`, its vertices in this graph's
+        order.  Graphs are never mutated, so the subgraph on every vertex
+        is this graph itself, and the last subgraph built is kept until it
+        is asked for again: the second request for the same label set
+        returns the same graph.  Handing it out once keeps a graph from
+        holding a chain of finished subgraphs alive."""
+        key = labels if isinstance(labels, frozenset) else frozenset(labels)
+        last = self._last_subgraph
+        if last is not None and last[0] == key:
+            self._last_subgraph = None
+            return last[1]
+        ids = self._label_ids
+        try:
+            keep = sorted([ids[lab] for lab in key])
+        except KeyError as exc:
+            raise InputError(f"unknown vertex {exc.args[0]!r}") from None
+        if len(keep) == self.n:
+            return self
+        new_id = {v: i for i, v in enumerate(keep)}
+        H = WeightedGraph.__new__(WeightedGraph)
+        H.n = len(keep)
+        H.labels = tuple(self.labels[v] for v in keep)
+        H.weights = tuple(self.weights[v] for v in keep)
+        H.adj = tuple(frozenset(new_id[u] for u in self.adj[v] if u in new_id)
+                      for v in keep)
+        H._label_ids = dict(zip(H.labels, range(H.n)))
+        H._adj_masks = None
+        H._label_set = key
+        H._last_subgraph = None
+        self._last_subgraph = (key, H)
+        return H
 
     def components(self) -> list:
         """Connected components as label frozensets, ordered by smallest id."""

@@ -1,7 +1,9 @@
 """Detection of subdivided claws and bicliques.
 
 The subdivided-claw search is exact backtracking over centers and three
-disjoint induced legs; at the sizes this toolkit targets the brute search
+disjoint induced legs, which first drops the center's neighbors that
+cannot start a leg on their own; it returns the witness of the plain
+search over all trios.  At the sizes this toolkit targets the search
 doubles as its own validator.
 """
 
@@ -66,48 +68,56 @@ def witness_violations(G: WeightedGraph, w: SubdividedClawWitness) -> list:
 def find_induced_sttt(G: WeightedGraph, t: int):
     """Find an induced S_{t,t,t}; returns a witness or None.
 
-    Exhaustive backtracking: pick a center, three pairwise non-adjacent
-    neighbors in increasing id order (symmetry pruning), then grow the
-    three legs one vertex at a time.  A new leg vertex must be adjacent
-    to its predecessor and to nothing else already chosen.
+    Backtracking: pick a center, three pairwise non-adjacent neighbors
+    in increasing id order (symmetry pruning), then grow the three legs
+    one vertex at a time.  A new leg vertex must be adjacent to its
+    predecessor and to nothing else already chosen.  That test only gets
+    stricter as more vertices are chosen, so a neighbor of the center
+    that cannot start a leg of t vertices on its own cannot start one in
+    any trio; such neighbors are dropped before the trios are formed,
+    at centers that have an independent trio of neighbors at all.  The
+    surviving trios keep their order, so the witness is the one the
+    plain search over all trios finds.
     """
     if t < 1:
         raise InputError("t must be a positive integer")
-    n = G.n
     adjm = G.adj_masks
-    for c in range(n):
-        nbrs = sorted(G.adj[c])
-        if len(nbrs) < 3:
+    nbrs = [sorted(a) for a in G.adj]
+
+    def grow(legs, li, chosen):
+        """Extend legs[li:] in turn to t vertices each."""
+        if li == len(legs):
+            return True
+        leg = legs[li]
+        if len(leg) == t:
+            return grow(legs, li + 1, chosen)
+        tip = leg[-1]
+        tipbit = 1 << tip
+        for u in nbrs[tip]:
+            ubit = 1 << u
+            if chosen & ubit or adjm[u] & chosen != tipbit:
+                continue
+            leg.append(u)
+            if grow(legs, li, chosen | ubit):
+                return True
+            leg.pop()
+        return False
+
+    def independent(trio):
+        b0, b1, b2 = trio
+        return not ((adjm[b0] | adjm[b1]) >> b2 & 1 or adjm[b0] >> b1 & 1)
+
+    for c in range(G.n):
+        # Checking every neighbor for a leg costs more than this scan
+        # where no neighbor trio is independent, as at every center of a
+        # (claw-free) line graph.
+        if len(nbrs[c]) < 3 or not any(map(independent, combinations(nbrs[c], 3))):
             continue
         cbit = 1 << c
-        for trio in combinations(nbrs, 3):
-            b0, b1, b2 = trio
-            if (adjm[b0] >> b1) & 1 or (adjm[b0] >> b2) & 1 or (adjm[b1] >> b2) & 1:
-                continue
-            legs = [[b0], [b1], [b2]]
-            chosen = cbit | (1 << b0) | (1 << b1) | (1 << b2)
-
-            def grow(li, chosen):
-                if li == 3:
-                    return True
-                leg = legs[li]
-                if len(leg) == t:
-                    return grow(li + 1, chosen)
-                tip = leg[-1]
-                tipbit = 1 << tip
-                for u in sorted(G.adj[tip]):
-                    ubit = 1 << u
-                    if chosen & ubit:
-                        continue
-                    if adjm[u] & chosen != tipbit:
-                        continue
-                    leg.append(u)
-                    if grow(li, chosen | ubit):
-                        return True
-                    leg.pop()
-                return False
-
-            if grow(0, chosen):
+        starts = [b for b in nbrs[c] if grow([[b]], 0, cbit | 1 << b)]
+        for trio in filter(independent, combinations(starts, 3)):
+            legs = [[b] for b in trio]
+            if grow(legs, 0, cbit | 1 << trio[0] | 1 << trio[1] | 1 << trio[2]):
                 return SubdividedClawWitness(
                     center=G.label_of(c),
                     legs=tuple(tuple(G.label_of(v) for v in leg) for leg in legs),

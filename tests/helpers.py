@@ -11,6 +11,7 @@ from stripmwis.decompose import DecomposeOutcome
 from stripmwis.errors import CapacityError
 from stripmwis.esd import ExtendedStripDecomposition, components_esd, validate_esd
 from stripmwis.graph import WeightedGraph, components_masks, line_graph
+from stripmwis.patterns import SubdividedClawWitness
 from stripmwis.treedec import TreeDecomposition
 
 
@@ -29,6 +30,44 @@ def naive_find_sttt(G: WeightedGraph, t: int) -> bool:
         if _is_sttt(sub, t):
             return True
     return False
+
+
+def reference_find_sttt(G: WeightedGraph, t: int):
+    """The plain search that `find_induced_sttt` must agree with, witness
+    for witness: every center, every pairwise non-adjacent trio of its
+    neighbors in lex order, then the three legs grown one vertex at a
+    time, each new vertex adjacent to its predecessor and to nothing else
+    already chosen."""
+    adjm = G.adj_masks
+    for c in range(G.n):
+        nbrs = sorted(G.adj[c])
+        for trio in combinations(nbrs, 3):
+            b0, b1, b2 = trio
+            if (adjm[b0] >> b1) & 1 or (adjm[b0] >> b2) & 1 or (adjm[b1] >> b2) & 1:
+                continue
+            legs = [[b0], [b1], [b2]]
+
+            def grow(li, chosen):
+                if li == 3:
+                    return True
+                leg = legs[li]
+                if len(leg) == t:
+                    return grow(li + 1, chosen)
+                tip = leg[-1]
+                for u in sorted(G.adj[tip]):
+                    if chosen >> u & 1 or adjm[u] & chosen != 1 << tip:
+                        continue
+                    leg.append(u)
+                    if grow(li, chosen | 1 << u):
+                        return True
+                    leg.pop()
+                return False
+
+            if grow(0, 1 << c | 1 << b0 | 1 << b1 | 1 << b2):
+                return SubdividedClawWitness(
+                    center=G.label_of(c),
+                    legs=tuple(tuple(G.label_of(v) for v in leg) for leg in legs))
+    return None
 
 
 def _is_sttt(sub: WeightedGraph, t: int) -> bool:
@@ -263,6 +302,17 @@ def random_root_graph(rng: random.Random, m: int) -> WeightedGraph:
         u, v = rng.sample(range(1, n + 1), 2)
         edges.add((min(u, v), max(u, v)))
     return WeightedGraph(range(1, n + 1), [1] * n, sorted(edges))
+
+
+def cell_value(prof, labels):
+    """The value of `prof` on the terminal subset `labels`; None is -inf."""
+    return prof.table[prof.mask_of(labels)]
+
+
+def cell_witness(prof, labels):
+    """The witness of `prof` on the terminal subset `labels`, or None
+    when the profile carries no witnesses."""
+    return None if prof.witnesses is None else prof.witnesses[prof.mask_of(labels)]
 
 
 def profile_sanity(G: WeightedGraph, prof) -> list:

@@ -15,8 +15,8 @@ from stripmwis.graph import WeightedGraph
 from stripmwis.matching import AuxGraph, matching_bruteforce, max_weight_matching
 from stripmwis.oracle import verify_solution
 
-from helpers import (count_calls, line_graph_esd, profile_sanity, random_esd_instance,
-                     random_graph)
+from helpers import (cell_value, cell_witness, count_calls, line_graph_esd, profile_sanity,
+                     random_esd_instance, random_graph)
 
 
 def particle_profiles(G, D, T, with_witnesses=False):
@@ -28,23 +28,23 @@ def particle_profiles(G, D, T, with_witnesses=False):
 def test_single_vertex_profile():
     G = WeightedGraph(["v"], [5], [])
     prof = brute_force_border(G, {"v"})
-    assert prof.value(set()) == 0
-    assert prof.value({"v"}) == 5
+    assert cell_value(prof, set()) == 0
+    assert cell_value(prof, {"v"}) == 5
 
 
 def test_edge_profile():
     G = WeightedGraph(["u", "v"], [2, 3], [("u", "v")])
     prof = brute_force_border(G, {"u", "v"})
-    assert prof.value(set()) == 0          # both vertices are terminals held out
-    assert prof.value({"u"}) == 2
-    assert prof.value({"v"}) == 3
-    assert prof.value({"u", "v"}) is None
+    assert cell_value(prof, set()) == 0          # both vertices are terminals held out
+    assert cell_value(prof, {"u"}) == 2
+    assert cell_value(prof, {"v"}) == 3
+    assert cell_value(prof, {"u", "v"}) is None
 
 
 def test_p4_no_terminals():
     G = WeightedGraph(range(4), [1, 9, 9, 1], [(0, 1), (1, 2), (2, 3)])
     prof = brute_force_border(G, set())
-    assert prof.value(set()) == 10
+    assert cell_value(prof, set()) == 10
 
 
 def test_capacity_guards():
@@ -92,7 +92,7 @@ def test_combine_single_edge_case_one():
     assert combined.table[0] == 3
     # the auxiliary graph of the empty trace carries the documented weights
     plan = build_combination_plan(
-        G, D, frozenset(), lambda p: profs[p].value(frozenset()))
+        G, D, frozenset(), lambda p: cell_value(profs[p], frozenset()))
     weights = sorted(plan.aux.edges.values())
     assert weights == [2, 3, 3]
     assert plan.base_weight == 0
@@ -124,8 +124,8 @@ def test_reconstruct_witness_rules():
     profs = particle_profiles(G, D, set(), with_witnesses=True)
     plan = build_combination_plan(
         G, D, frozenset(),
-        lambda p: profs[p].value(frozenset()),
-        lambda p: profs[p].witness(frozenset()))
+        lambda p: cell_value(profs[p], frozenset()),
+        lambda p: cell_witness(profs[p], frozenset()))
     # empty matching: the base family of empty particles
     assert reconstruct_witness(plan, frozenset()) == frozenset()
     # taking the slack edge toward pattern vertex 1 selects {v}
@@ -162,8 +162,8 @@ def test_combination_claims_exhaustively():
                               if (mask >> i) & 1)
             plan = build_combination_plan(
                 G, D, trace,
-                lambda p: profs[p].value(trace & p.members),
-                lambda p: profs[p].witness(trace & p.members),
+                lambda p: cell_value(profs[p], trace & p.members),
+                lambda p: cell_witness(profs[p], trace & p.members),
                 terminal_set=tset)
             # zero-weight swaps are left out of the auxiliary graph
             assert 0 not in plan.aux.edges.values()
@@ -190,7 +190,7 @@ def test_combination_claims_exhaustively():
                 assert G.total_weight(wit) <= best
                 checked += 1
             # direction 1: the optimum equals the exhaustive profile cell
-            want = brute_force_border(G, T).value(trace)
+            want = cell_value(brute_force_border(G, T), trace)
             assert best == want
     assert checked > 200
 

@@ -52,6 +52,57 @@ def test_labels_stable_across_nesting():
     assert S2.has_edge_labels(2, 3)
 
 
+def test_subgraph_equals_a_graph_built_from_scratch():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(0, 16)
+        base = random_graph(rng, n, rng.uniform(0.1, 0.7))
+        labels = [("v", x) for x in rng.sample(range(100), n)]
+        relabel = dict(zip(base.labels, labels))
+        G = WeightedGraph(labels, base.weights,
+                          [(relabel[base.labels[u]], relabel[base.labels[v]])
+                           for u, v in base.edges_ids()])
+        keep = set(rng.sample(labels, rng.randint(0, n)))
+        S = G.subgraph(keep)
+        order = [lab for lab in G.labels if lab in keep]
+        want = WeightedGraph(order, [G.weight_of(lab) for lab in order],
+                             [(G.labels[u], G.labels[v]) for u, v in G.edges_ids()
+                              if G.labels[u] in keep and G.labels[v] in keep])
+        assert S.labels == want.labels
+        assert S.weights == want.weights
+        assert S.adj == want.adj
+        assert S.adj_masks == want.adj_masks
+        assert S.label_set == frozenset(keep)
+        assert all(S.id_of(lab) == want.id_of(lab) for lab in order)
+        # graphs are never mutated: the same request returns the same graph
+        assert G.subgraph(frozenset(keep)) is S
+        assert G.subgraph(G.label_set) is G
+        assert G.subgraph(list(G.labels)) is G
+
+
+def test_nested_subgraphs_keep_their_labels():
+    rng = random.Random(8)
+    for _ in range(30):
+        G = random_graph(rng, rng.randint(1, 14), 0.4)
+        outer = set(rng.sample(G.labels, rng.randint(0, G.n)))
+        inner = set(rng.sample(sorted(outer), rng.randint(0, len(outer))))
+        S = G.subgraph(outer).subgraph(inner)
+        assert same_graph(S, G.subgraph(inner))
+        assert S.labels == tuple(lab for lab in G.labels if lab in inner)
+
+
+def test_unknown_vertex_raises_after_a_successful_request():
+    G = triangle()
+    S = G.subgraph({"a", "b"})
+    with pytest.raises(InputError):
+        G.subgraph({"a", "b", "zz"})
+    with pytest.raises(InputError):
+        G.subgraph({"a", "zz"})
+    with pytest.raises(InputError):
+        G.subgraph({"a", "b", "c", "zz"})
+    assert G.subgraph({"a", "b"}) is S
+
+
 def test_line_graph_examples():
     p3 = WeightedGraph(range(3), [1] * 3, [(0, 1), (1, 2)])
     L = line_graph(p3)

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from stripmwis.errors import InputError
-from stripmwis.generate import generate_subdivided_claw
+from stripmwis.generate import generate_random_instance, generate_subdivided_claw
 from stripmwis.graph import WeightedGraph
 from stripmwis.patterns import (contains_biclique_subgraph, find_induced_sttt,
                                 witness_violations)
 
-from helpers import naive_find_sttt, random_graph
+from helpers import (hub_caterpillar, naive_find_sttt, random_graph, reference_find_sttt,
+                     windmill_caterpillar)
 
 
 def test_claw_is_found_at_t1():
@@ -53,6 +54,42 @@ def test_witness_is_always_valid_and_oracle_agrees():
             if w is not None:
                 assert not witness_violations(G, w)
                 assert w.leg_lengths() == (t,) * 3
+
+
+def planted_claw(rng: random.Random, n: int, t: int) -> WeightedGraph:
+    """A random graph on n >= 3t + 1 vertices in which a random vertex set
+    induces S_{t,t,t}: the edges inside the set are replaced by the claw's."""
+    G = random_graph(rng, n, rng.uniform(0.1, 0.5))
+    spots = rng.sample(range(n), 3 * t + 1)
+    claw = [(spots[0], spots[1 + leg * t]) for leg in range(3)] + [
+        (spots[1 + leg * t + i], spots[2 + leg * t + i])
+        for leg in range(3) for i in range(t - 1)]
+    inside = set(spots)
+    edges = [(G.labels[u], G.labels[v]) for u, v in G.edges_ids()
+             if not (u in inside and v in inside)]
+    return WeightedGraph(G.labels, G.weights, edges + claw)
+
+
+def test_search_returns_the_witness_of_the_plain_search():
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(80):
+        graphs.append(random_graph(rng, rng.randint(0, 14), rng.uniform(0.1, 0.6)))
+    for seed in range(12):
+        for t in (1, 2, 3):
+            graphs.append(generate_random_instance(rng.randint(8, 30), rng.randint(3, 5),
+                                                   t, seed))
+    for n in (20, 40, 80):
+        graphs.append(hub_caterpillar(rng, n))
+        graphs.append(windmill_caterpillar(rng, n))
+    planted = {t: [planted_claw(rng, rng.randint(3 * t + 1, 3 * t + 8), t)
+                   for _ in range(15)] for t in (1, 2, 3)}
+    for G in graphs + [G for gs in planted.values() for G in gs]:
+        for t in (1, 2, 3):
+            w = find_induced_sttt(G, t)
+            assert w == reference_find_sttt(G, t)
+            if any(G is H for H in planted[t]):
+                assert w is not None and not witness_violations(G, w)
 
 
 def test_input_validation():

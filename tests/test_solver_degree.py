@@ -20,7 +20,7 @@ from stripmwis.solver_degree import (DegreeSolverConfig, compute_ell, fold, mwis
                                      solve_degree)
 from stripmwis.trace import TraceRecord
 
-from helpers import (count_calls, cycle_mwis, hub_caterpillar, profile_sanity,
+from helpers import (cell_value, count_calls, cycle_mwis, hub_caterpillar, profile_sanity,
                      random_graph, random_root_graph, union_graph, weighted_cycle)
 
 
@@ -144,6 +144,44 @@ def test_claw_search_runs_once_per_solve(monkeypatch, solver, leaf_cap):
     assert value == mwis_bruteforce(G)[0]
     assert (trace.call_count > 1) == (leaf_cap is not None)
     assert len(calls) == (0 if leaf_cap is None else 1)
+
+
+@pytest.mark.parametrize("solver", ["degree", "biclique"])
+def test_every_decomposition_is_validated(monkeypatch, solver):
+    decomposed = count_calls(monkeypatch, solver_degree, "decompose")
+    validated = count_calls(monkeypatch, solver_degree, "validate_outcome")
+    if solver == "degree":
+        G = weighted_cycle(random.Random(4), 90)
+        value, _, _ = mwis(G, DegreeSolverConfig(t=2, with_witnesses=True))
+        assert value == cycle_mwis(G.weights)
+    else:
+        G = hub_caterpillar(random.Random(0), 36, hubs=3, hub_legs=6)
+        value, _, _ = mwis_biclique(
+            G, BicliqueSolverConfig(t=2, k=2, leaf_cap_override=12, with_witnesses=True))
+        assert value == mwis_bruteforce(G)[0]
+    assert decomposed
+    assert len(validated) == len(decomposed)
+    assert [args[:2] for args, _ in validated] == [args for args, _ in decomposed]
+
+
+@pytest.mark.parametrize("solver", ["degree", "biclique"])
+def test_an_outcome_missing_a_vertex_fails_validation(monkeypatch, solver):
+    decompose = solver_degree.decompose
+
+    def drop_a_vertex(G, U):
+        outcome = decompose(G, U)
+        classes = [set(outcome.esd.vertex_sets[x]) for x in outcome.esd.pattern_vertices]
+        next(c for c in classes if c).pop()
+        return outcome._replace(esd=ExtendedStripDecomposition(
+            range(len(classes)), [], dict(enumerate(classes)), {}))
+
+    monkeypatch.setattr(solver_degree, "decompose", drop_a_vertex)
+    with pytest.raises(InvariantError, match="^decomposition failed validation"):
+        if solver == "degree":
+            mwis(weighted_cycle(random.Random(4), 90), DegreeSolverConfig(t=2))
+        else:
+            mwis_biclique(hub_caterpillar(random.Random(0), 36, hubs=3, hub_legs=6),
+                          BicliqueSolverConfig(t=2, k=2, leaf_cap_override=12))
 
 
 def test_trace_line_format():
@@ -342,7 +380,7 @@ def test_fold_biclique_shape_matches_exhaustive():
             cell = result.labels_of(mask)
             want = None
             if cell & J == J & T and cell - J <= vj:
-                want = rest.value(cell - J)
+                want = cell_value(rest, cell - J)
                 want = None if want is None else want + G.total_weight(J)
             assert val == want
             if val is not None:
@@ -361,7 +399,7 @@ def _reference_fold(G, universe, weight, T, parts):
             if not G.is_independent(I):
                 continue
             value = sum(weight.get(v, 0) for v in I)
-            value += sum(prof.value(I & set(prof.terminals)) for prof in parts)
+            value += sum(cell_value(prof, I & set(prof.terminals)) for prof in parts)
             if I & T not in best or value > best[I & T]:
                 best[I & T] = value
     return best
